@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .feasibility import FeasibleTuple, condition_failures
 from .perm import BlockSystem, PermGroup, Permutation
 
@@ -79,13 +77,6 @@ class Design:
             raise DesignError("permutation degree %d != v %d" % (p.degree, self.v))
         return Design(self.v, (p.image_of_set(blk) for blk in self.blocks))
 
-    def incidence_matrix(self):
-        m = np.zeros((self.v, self.b), dtype=np.int64)
-        for j, blk in enumerate(self.blocks):
-            for p in blk:
-                m[p - 1, j] = 1
-        return m
-
     def __eq__(self, other):
         return (
             isinstance(other, Design)
@@ -133,7 +124,7 @@ def check_2_design(d: Design) -> DesignParameters:
     """Verify the 2-design axioms and counting identities.
 
     Block size must be constant, every point pair must lie in the same
-    number of blocks (counted over all pairs via the incidence matrix), and
+    number of blocks (counted over all pairs on bit-set point rows), and
     the derived (v, b, k, r, lambda) must satisfy r(k-1) = lambda(v-1),
     bk = vr, b >= v, r >= k and r^2 > lambda*v (the last three only bind for
     nontrivial designs with 2 < k < v).  Raises NotTwoDesignError naming the
@@ -149,30 +140,31 @@ def check_2_design(d: Design) -> DesignParameters:
             "non-constant-block-size", (tuple(small), tuple(large))
         )
     k = sizes.pop()
-    m = d.incidence_matrix()
-    pair_counts = m @ m.T
-    rows = np.diag(pair_counts).copy()
-    iu = np.triu_indices(d.v, k=1)
-    offdiag = pair_counts[iu]
-    if d.v < 2 or offdiag.size == 0:
+    v = d.v
+    if v < 2:
         raise NotTwoDesignError("fewer-than-two-points")
-    lam = int(offdiag[0])
-    bad = np.nonzero(offdiag != lam)[0]
-    if bad.size:
-        i = int(bad[0])
-        alpha, beta = int(iu[0][i]) + 1, int(iu[1][i]) + 1
-        raise NotTwoDesignError(
-            "non-constant-pair-coverage",
-            ((1, 2, lam), (alpha, beta, int(offdiag[i]))),
-        )
+    rows = [0] * v  # rows[p - 1]: bitmask of the blocks containing point p
+    for j, blk in enumerate(d.blocks):
+        for p in blk:
+            rows[p - 1] |= 1 << j
+    lam = (rows[0] & rows[1]).bit_count()
+    for alpha in range(v - 1):
+        row = rows[alpha]
+        for beta in range(alpha + 1, v):
+            count = (row & rows[beta]).bit_count()
+            if count != lam:
+                raise NotTwoDesignError(
+                    "non-constant-pair-coverage",
+                    ((1, 2, lam), (alpha + 1, beta + 1, count)),
+                )
     if lam < 1:
         raise NotTwoDesignError("uncovered-pair", (1, 2))
-    r = int(rows[0])
-    if np.any(rows != r):
-        i = int(np.nonzero(rows != r)[0][0])
-        raise NotTwoDesignError("non-constant-replication", (1, r, i + 1, int(rows[i])))
+    reps = [row.bit_count() for row in rows]
+    r = reps[0]
+    for p, rep in enumerate(reps, 1):
+        if rep != r:
+            raise NotTwoDesignError("non-constant-replication", (1, r, p, rep))
     b = d.b
-    v = d.v
     params = DesignParameters(v=v, b=b, k=k, r=r, lam=lam)
     if r * (k - 1) != lam * (v - 1):
         raise NotTwoDesignError("replication-count", params)

@@ -295,6 +295,7 @@ class PermGroup:
                     queue.append(q)
 
     def _sift_from(self, i, h):
+        """Residue of h through the stabilizer chain from level i down."""
         for level in self._levels[i:]:
             if h.is_identity():
                 return h
@@ -364,18 +365,7 @@ class PermGroup:
 
     def sift(self, p):
         """Residue of p through the stabilizer chain; identity iff p is a member."""
-        h = p
-        for level in self._levels:
-            if h.is_identity():
-                return h
-            img = h(level.point)
-            if img == level.point:
-                continue
-            u = level.transversal.get(img)
-            if u is None:
-                return h
-            h = h * u.inverse()
-        return h
+        return self._sift_from(0, p)
 
     def contains(self, p):
         if p.degree != self.degree:

@@ -150,6 +150,18 @@ def test_verify_parse_error(tmp_path):
     assert code == cli.EXIT_INPUT_ERROR
 
 
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    good_design = tmp_path / "d36.dsg"
+    good_design.write_text(format_design_text(construction_36()))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"v 4\n1 2 \xff\n")
+    for argv in (["verify", str(bad)], ["aut", str(bad)],
+                 ["verify", str(good_design), str(bad)]):
+        code, _ = run_cli(argv)
+        assert code == cli.EXIT_INPUT_ERROR, argv
+        assert "error:" in capsys.readouterr().err
+
+
 def test_aut_json(tmp_path):
     dpath = tmp_path / "pg3.dsg"
     dpath.write_text(format_design_text(projective_design(3)))

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import ftdesigns
 from ftdesigns.construct import (
     construction_36,
     grid_index,
@@ -75,14 +79,47 @@ def test_check_2_design_golden():
     assert check_2_design(projective_design(3)).as_tuple() == (15, 15, 8, 8, 4)
 
 
+def _without_block(d, j):
+    return Design(d.v, d.blocks[:j] + d.blocks[j + 1:])
+
+
 def test_check_2_design_failures():
-    with pytest.raises(NotTwoDesignError) as err:
-        check_2_design(Design(4, [(1, 2), (1, 2, 3)]))
-    assert err.value.condition == "non-constant-block-size"
-    with pytest.raises(NotTwoDesignError) as err:
-        check_2_design(Design(4, [(1, 2), (1, 3), (3, 4)]))
-    assert err.value.condition == "non-constant-pair-coverage"
-    assert err.value.witness is not None
+    """Each reachable failure, with its exact (condition, witness)."""
+    pg5 = projective_design(5)
+    _, d96 = design_96("h1", 1)
+    cases = [
+        (Design(4, [(1, 2), (1, 2, 3)]),
+         "non-constant-block-size", ((1, 2), (1, 2, 3))),
+        (Design(1, [(1,)]), "fewer-than-two-points", None),
+        (Design(3, [(1,), (2,), (3,)]), "uncovered-pair", (1, 2)),
+        (Design(4, [(1, 2), (1, 3), (3, 4)]),
+         "non-constant-pair-coverage", ((1, 2, 1), (1, 4, 0))),
+        # the first under-covered pair is the first pair of the removed block
+        (_without_block(pg5, pg5.b - 1),
+         "non-constant-pair-coverage", ((1, 2, 16), (32, 33, 15))),
+        (_without_block(d96, d96.b - 1),
+         "non-constant-pair-coverage", ((1, 2, 4), (21, 27, 3))),
+    ]
+    for d, condition, witness in cases:
+        with pytest.raises(NotTwoDesignError) as err:
+            check_2_design(d)
+        assert (err.value.condition, err.value.witness) == (condition, witness)
+
+
+def test_check_2_design_without_numpy():
+    """The package imports and checks a design with numpy unavailable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ftdesigns import check_2_design, projective_design\n"
+        "print(check_2_design(projective_design(3)).as_tuple())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(15, 15, 8, 8, 4)"
 
 
 def test_oracle_equivalence_small_designs():
@@ -109,7 +146,8 @@ def test_oracle_equivalence_small_designs():
 
 
 def test_oracle_equivalence_on_real_designs():
-    for d in (construction_36(), projective_design(3)):
+    for d in (construction_36(), projective_design(3), projective_design(5),
+              design_96("h2", 1)[1]):
         assert naive_pair_check(d) == check_2_design(d).as_tuple()
 
 
