@@ -10,7 +10,9 @@ point/block incidence structure, in the style of canonical graph labeling:
   intersection sizes) -- this invariant set is fixed; changing it would
   change certificates;
 - refinement splits cells by neighbor counts into the other cells until the
-  coloring is equitable;
+  coloring is equitable; its sequence of split events is the trace token,
+  which picks the canonical leaf and so is part of the certificate (a
+  test pins it against the original full-rescan refinement);
 - the search individualizes vertices of the first smallest non-singleton
   cell (children in vertex order), records a label-invariant trace token
   per node, and keeps two reference leaves: the first leaf (for
@@ -131,37 +133,58 @@ class _Search:
 
     def _refine(self, cells):
         """Split cells by neighbor counts until equitable; returns the new
-        cells plus a label-invariant trace of the split events."""
-        adj = self.adj
+        cells plus a label-invariant trace of the split events.
+
+        Each round takes the cells at its start as splitters, in order, and
+        splits every cell by its members' neighbor counts into the splitter.
+        An event is (splitter index, index of the cell before this splitter
+        ran, sorted counts, part sizes).  Only non-singleton cells of the
+        other color class are tested: a singleton cannot split, and points
+        meet only blocks, so the events are those of testing every cell."""
+        adj, v = self.adj, self.v
         trace = []
         changed = True
         while changed:
             changed = False
-            splitters = [sum(1 << u for u in cell) for cell in cells]
-            for si, smask in enumerate(splitters):
-                newcells = []
-                round_events = []
-                for ci, cell in enumerate(cells):
-                    if len(cell) == 1:
-                        newcells.append(cell)
+            splitters = cells
+            targets = self._nonsingletons(cells)
+            for si, scell in enumerate(splitters):
+                candidates = targets[scell[0] < v]
+                if not candidates:
+                    continue
+                smask = sum(1 << u for u in scell)
+                parts = []
+                for ci in candidates:
+                    cell = cells[ci]
+                    first = (adj[cell[0]] & smask).bit_count()
+                    for u in cell:
+                        if (adj[u] & smask).bit_count() != first:
+                            break
+                    else:  # all counts equal: no split
                         continue
                     buckets = {}
                     for u in cell:
                         buckets.setdefault((adj[u] & smask).bit_count(), []).append(u)
-                    if len(buckets) == 1:
-                        newcells.append(cell)
-                        continue
                     keys = sorted(buckets)
-                    round_events.append(
-                        (si, ci, tuple(keys), tuple(len(buckets[k]) for k in keys))
-                    )
-                    for key in keys:
-                        newcells.append(tuple(buckets[key]))
-                if round_events:
+                    trace.append((si, ci, tuple(keys), tuple(len(buckets[k]) for k in keys)))
+                    parts.append((ci, [tuple(buckets[k]) for k in keys]))
+                if parts:
+                    newcells = list(cells)
+                    for ci, split in reversed(parts):
+                        newcells[ci : ci + 1] = split
                     cells = tuple(newcells)
-                    trace.extend(round_events)
+                    targets = self._nonsingletons(cells)
                     changed = True
         return cells, tuple(trace)
+
+    def _nonsingletons(self, cells):
+        """Indices of the non-singleton cells, indexed by whether they can
+        split by a point splitter: ([point cells], [block cells])."""
+        targets = ([], [])
+        for ci, cell in enumerate(cells):
+            if len(cell) > 1:
+                targets[cell[0] >= self.v].append(ci)
+        return targets
 
     @staticmethod
     def _individualize(cells, ci, w):
@@ -220,10 +243,8 @@ class _Search:
 
     # -- pruning ----------------------------------------------------------
 
-    def _skip_by_orbit(self, w, explored, prefix):
-        gens = [g for g in self.autos if all(g[u] == u for u in prefix)]
-        if not gens:
-            return False
+    @staticmethod
+    def _skip_by_orbit(w, explored, gens):
         closure = set(explored)
         queue = list(explored)
         while queue:
@@ -259,10 +280,13 @@ class _Search:
             return
         smallest = min(s for s in sizes if s > 1)
         ti = next(i for i, s in enumerate(sizes) if s == smallest)
-        explored = []
+        explored, gens, seen = [], [], 0  # gens: found autos fixing prefix
         for w in sorted(cells[ti]):
-            if explored and self._skip_by_orbit(w, explored, prefix):
-                continue
+            if explored:
+                gens.extend(g for g in self.autos[seen:] if all(g[u] == u for u in prefix))
+                seen = len(self.autos)
+                if gens and self._skip_by_orbit(w, explored, gens):
+                    continue
             child = self._individualize(cells, ti, w)
             child, token = self._refine(child)
             self._recurse(child, tokens + (token,), prefix + (w,))
@@ -327,7 +351,8 @@ def are_isomorphic(d1: Design, d2: Design, node_cap=DEFAULT_NODE_CAP):
         return False, None
     witness = cf1.relabeling * cf2.relabeling.inverse()
     image = {witness.image_of_set(blk) for blk in d1.blocks}
-    assert image == set(map(frozenset, d2.blocks)), "certificate matched but witness failed"
+    if image != d2.block_set:
+        raise AssertionError("certificate matched but witness failed")
     return True, witness
 
 
@@ -406,7 +431,8 @@ def _mask_orbits(masks, gens):
             m = queue.pop()
             for table in tables:
                 img = image(m, table)
-                assert img in maskset, "orbit left the qualifying family"
+                if img not in maskset:
+                    raise AssertionError("orbit left the qualifying family")
                 if img not in orbit:
                     orbit.add(img)
                     queue.append(img)
@@ -422,7 +448,8 @@ def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
     of those are 2-designs, and whether the designs are isomorphic."""
     group = twisted_diagonal_group()
     systems = group.block_systems()
-    assert len(systems) == 2
+    if len(systems) != 2:
+        raise AssertionError("expected two block systems, found %d" % len(systems))
     rows, cols = systems[0].parts, systems[1].parts
     masks = _qualifying_masks(rows, cols)
     orbits = _mask_orbits(masks, group.generators)

@@ -1,13 +1,20 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
+import ftdesigns
 from ftdesigns import cli
 from ftdesigns.construct import construction_36, projective_design
 from ftdesigns.design import format_design_text
 from ftdesigns.perm import format_group_text
 from ftdesigns.construct import semilinear_group_15, twisted_diagonal_group
+
+
+# subprocesses import the package from the same tree as the tests
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(
+    os.path.dirname(os.path.abspath(ftdesigns.__file__))))
 
 
 def run_cli(argv):
@@ -210,14 +217,23 @@ def test_bounds_bad_range():
 def test_stdin_verify():
     proc = subprocess.run(
         [sys.executable, "-m", "ftdesigns", "construct", "pg", "3"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=SRC_ENV,
     )
     proc2 = subprocess.run(
         [sys.executable, "-m", "ftdesigns", "verify", "-"],
-        input=proc.stdout, capture_output=True, text=True,
+        input=proc.stdout, capture_output=True, text=True, env=SRC_ENV,
     )
     assert proc2.returncode == 0
     assert "status: pass" in proc2.stdout
+
+
+def test_stdin_decode_error_is_an_input_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ftdesigns", "verify", "-"],
+        input=b"v 3\n\xff\n", capture_output=True, env=SRC_ENV,
+    )
+    assert proc.returncode == cli.EXIT_INPUT_ERROR
+    assert b"cannot read -" in proc.stderr
 
 
 def test_global_flags_both_positions(tmp_path):
