@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import twisted_diagonal_group
-from .design import Design, NotTwoDesignError, check_2_design, is_automorphism
+from .design import Design, DesignError, NotTwoDesignError, check_2_design, is_automorphism
 from .perm import PermGroup, Permutation
 
 DEFAULT_NODE_CAP = 10**7
@@ -295,7 +295,7 @@ class _Search:
 
 def _run_search(design: Design, node_cap=DEFAULT_NODE_CAP) -> _Search:
     if design.b == 0:
-        raise ValueError("design has no blocks")
+        raise DesignError("design has no blocks")
     return _Search(design, node_cap).run()
 
 

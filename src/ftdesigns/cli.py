@@ -5,6 +5,9 @@ Subcommands: ``feasible``, ``construct``, ``verify``, ``aut``, ``census36``,
 ``--no-strict`` (mismatches against reference values fail vs warn),
 ``--node-cap N`` for the automorphism search.
 
+``--format`` applies to every command that prints a report; ``construct``
+always writes a design file.
+
 Exit codes are a stable contract: 0 all checks pass, 1 check failure,
 2 input error, 3 resource cap exceeded.
 """
@@ -17,7 +20,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import autgrp, construct, design, feasibility, perm
 
@@ -33,26 +35,27 @@ class InputError(Exception):
     pass
 
 
-@dataclass
-class Finding:
-    check: str
-    expected: object
-    observed: object
-    provenance: str  # "reference" | "derived" | "trivial"
-    ok: Optional[bool]  # None = informational
-    anchor: str = ""
+_REPORT_COLUMNS = ("check", "expected", "observed", "provenance", "ok", "anchor")
 
-    def as_dict(self):
-        out = {
-            "check": self.check,
-            "expected": self.expected,
-            "observed": self.observed,
-            "provenance": self.provenance,
-            "ok": self.ok,
-        }
-        if self.anchor:
-            out["anchor"] = self.anchor
-        return out
+
+def _render(out, fmt, command, elapsed, body, columns, rows, lines):
+    """Write a command's output in one format.
+
+    JSON is the envelope around ``body``; CSV is ``columns`` as the header
+    over the dicts in ``rows`` (a missing key is an empty cell); text is
+    ``lines``, the command's own layout."""
+    if fmt == "json":
+        payload = {"schema": JSON_SCHEMA, "command": command, **body,
+                   "elapsed_s": round(elapsed, 3)}
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(c) for c in columns])
+    else:
+        out.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -60,13 +63,16 @@ class Report:
     command: str
     status: str = "pass"  # pass | fail | open
     findings: list = field(default_factory=list)
-    elapsed_s: float = 0.0
 
     def add(self, check, expected, observed, provenance, anchor="", informational=False):
+        """Record a finding; provenance is "reference", "derived" or
+        "trivial", and an informational finding has ok None."""
         ok = None if informational else (expected == observed)
-        self.findings.append(
-            Finding(check, expected, observed, provenance, ok, anchor)
-        )
+        finding = {"check": check, "expected": expected, "observed": observed,
+                   "provenance": provenance, "ok": ok}
+        if anchor:
+            finding["anchor"] = anchor
+        self.findings.append(finding)
         if ok is False:
             self.status = "fail"
         return ok
@@ -75,35 +81,21 @@ class Report:
     def passed(self):
         return self.status != "fail"
 
-
-def _render_report(report: Report, fmt: str, out):
-    if fmt == "json":
-        payload = {
-            "schema": JSON_SCHEMA,
-            "command": report.command,
-            "status": report.status,
-            "findings": [f.as_dict() for f in report.findings],
-            "elapsed_s": round(report.elapsed_s, 3),
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["check", "expected", "observed", "provenance", "ok", "anchor"])
-        for f in report.findings:
-            writer.writerow(
-                [f.check, f.expected, f.observed, f.provenance, f.ok, f.anchor]
+    def render(self, out, fmt, t0):
+        elapsed = time.perf_counter() - t0
+        lines = ["# %s" % self.command]
+        for f in self.findings:
+            mark = "PASS" if f["ok"] else ("FAIL" if f["ok"] is False else "info")
+            anchor = " [%s]" % f["anchor"] if "anchor" in f else ""
+            lines.append(
+                "%-4s %-32s expected=%-18s observed=%-18s (%s)%s"
+                % (mark, f["check"], f["expected"], f["observed"],
+                   f["provenance"], anchor)
             )
-    else:
-        out.write("# %s\n" % report.command)
-        for f in report.findings:
-            mark = "PASS" if f.ok else ("FAIL" if f.ok is False else "info")
-            anchor = " [%s]" % f.anchor if f.anchor else ""
-            out.write(
-                "%-4s %-32s expected=%-18s observed=%-18s (%s)%s\n"
-                % (mark, f.check, f.expected, f.observed, f.provenance, anchor)
-            )
-        out.write("status: %s (%.3fs)\n" % (report.status, report.elapsed_s))
+        lines.append("status: %s (%.3fs)" % (self.status, elapsed))
+        _render(out, fmt, self.command, elapsed,
+                {"status": self.status, "findings": self.findings},
+                _REPORT_COLUMNS, self.findings, lines)
 
 
 # -- feasible ----------------------------------------------------------------
@@ -219,7 +211,7 @@ def feasible_table_rows(lam: int):
     return rows
 
 
-_FEASIBLE_COLUMNS = ("lambda", "v", "k", "r", "b", "c", "d", "ell", "x")
+_FEASIBLE_COLUMNS = ("lambda", "v", "k", "r", "b", "c", "d", "ell", "x", "status")
 
 
 def cmd_feasible(args, out):
@@ -231,41 +223,20 @@ def cmd_feasible(args, out):
     expected_count = EXPECTED_TABLE_ROWS.get(args.lam)
     if expected_count is not None and len(rows) != expected_count and args.strict:
         status = EXIT_CHECK_FAILURE
-    if args.format == "json":
-        payload = {
-            "schema": JSON_SCHEMA,
-            "command": "feasible",
-            "lambda": args.lam,
-            "rows": rows,
-            "row_count": len(rows),
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(_FEASIBLE_COLUMNS + ("status",))
-        for row in rows:
-            writer.writerow(
-                [row[c] if row.get(c) is not None else "" for c in _FEASIBLE_COLUMNS]
-                + [row.get("status", "")]
+    lines = ["%6s %6s %4s %4s %6s %4s %4s %4s %3s  %s" % _FEASIBLE_COLUMNS]
+    for row in rows:
+        lines.append(
+            "%6d %6d %4d %4d %6s %4d %4d %4d %3d  %s"
+            % (
+                row["lambda"], row["v"], row["k"], row["r"],
+                row["b"] if row["b"] is not None else "-",
+                row["c"], row["d"], row["ell"], row["x"], row["status"],
             )
-    else:
-        header = "%6s %6s %4s %4s %6s %4s %4s %4s %3s  %s" % (
-            "lambda", "v", "k", "r", "b", "c", "d", "ell", "x", "status"
         )
-        out.write(header + "\n")
-        for row in rows:
-            out.write(
-                "%6d %6d %4d %4d %6s %4d %4d %4d %3d  %s\n"
-                % (
-                    row["lambda"], row["v"], row["k"], row["r"],
-                    row["b"] if row["b"] is not None else "-",
-                    row["c"], row["d"], row["ell"], row["x"],
-                    row.get("status", ""),
-                )
-            )
-        out.write("%d rows\n" % len(rows))
+    lines.append("%d rows" % len(rows))
+    _render(out, args.format, "feasible", time.perf_counter() - t0,
+            {"lambda": args.lam, "rows": rows, "row_count": len(rows)},
+            _FEASIBLE_COLUMNS, rows, lines)
     return status
 
 
@@ -321,7 +292,6 @@ def cmd_verify(args, out):
     report = Report(command="verify")
     d = design.parse_design_text(_read_text(args.design_file))
     params = _verify_design(report, d)
-    generator_failure = False
     if params is not None and args.group_file:
         g = perm.parse_group_text(_read_text(args.group_file))
         if g.degree != d.v:
@@ -330,10 +300,7 @@ def cmd_verify(args, out):
             )
         bad = [i for i, gen in enumerate(g.generators)
                if not design.is_automorphism(d, gen)]
-        report.add("generators-are-automorphisms", [], bad, "derived")
-        if bad:
-            generator_failure = True
-        else:
+        if report.add("generators-are-automorphisms", [], bad, "derived"):
             report.add("group-order", g.order(), g.order(), "derived",
                        informational=True)
             report.add("point-transitive", True, g.is_transitive(), "derived")
@@ -364,11 +331,8 @@ def cmd_verify(args, out):
                     failures = feasibility.condition_failures(t)
                     report.add("feasibility-conditions %s" % label, [],
                                failures, "derived")
-    report.elapsed_s = time.perf_counter() - t0
-    _render_report(report, args.format, out)
-    if generator_failure or not report.passed:
-        return EXIT_CHECK_FAILURE
-    return EXIT_OK
+    report.render(out, args.format, t0)
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 
 
 # -- aut -----------------------------------------------------------------------
@@ -378,24 +342,15 @@ def cmd_aut(args, out):
     t0 = time.perf_counter()
     d = design.parse_design_text(_read_text(args.design_file))
     result = autgrp.automorphism_group(d, node_cap=args.node_cap)
-    payload = {
-        "schema": JSON_SCHEMA,
-        "command": "aut",
-        "order": result.order,
-        "num_generators": len(result.group.generators),
-        "generators": [perm.format_cycles(g) for g in result.group.generators],
-        "nodes_explored": result.nodes_explored,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-    }
-    if args.format == "text":
-        out.write("automorphism group order: %d\n" % result.order)
-        out.write("generators (%d):\n" % payload["num_generators"])
-        for gen in payload["generators"]:
-            out.write("  %s\n" % gen)
-        out.write("nodes explored: %d\n" % result.nodes_explored)
-    else:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+    gens = [perm.format_cycles(g) for g in result.group.generators]
+    lines = ["automorphism group order: %d" % result.order,
+             "generators (%d):" % len(gens)]
+    lines += ["  %s" % gen for gen in gens]
+    lines.append("nodes explored: %d" % result.nodes_explored)
+    _render(out, args.format, "aut", time.perf_counter() - t0,
+            {"order": result.order, "num_generators": len(gens),
+             "generators": gens, "nodes_explored": result.nodes_explored},
+            ("generator",), [{"generator": gen} for gen in gens], lines)
     return EXIT_OK
 
 
@@ -413,8 +368,7 @@ def cmd_census36(args, out):
     report.add("size-90-orbits", 5, rep.size90_orbits, "reference", anchor)
     report.add("orbits-yielding-2-designs", 2, rep.design_orbits, "reference", anchor)
     report.add("the-two-designs-isomorphic", True, rep.isomorphic, "reference", anchor)
-    report.elapsed_s = time.perf_counter() - t0
-    _render_report(report, args.format, out)
+    report.render(out, args.format, t0)
     if not report.passed:
         return EXIT_CHECK_FAILURE if args.strict else EXIT_OK
     return EXIT_OK
@@ -457,8 +411,7 @@ def cmd_bounds(args, out):
             report.add("max-k-within-main-bound lambda=%d" % lam,
                        "reported", max_k <= br.k_main, "derived",
                        informational=True)
-    report.elapsed_s = time.perf_counter() - t0
-    _render_report(report, args.format, out)
+    report.render(out, args.format, t0)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 
 

@@ -193,12 +193,6 @@ def is_automorphism(d: Design, p: Permutation) -> bool:
     return all(p.image_of_set(blk) in d.block_set for blk in d.blocks)
 
 
-def _block_index_action(d: Design, p: Permutation):
-    """The permutation of block indices induced by an automorphism."""
-    lookup = {frozenset(blk): j for j, blk in enumerate(d.blocks)}
-    return [lookup[p.image_of_set(blk)] for blk in d.blocks]
-
-
 def flag_orbit_count(g: PermGroup, d: Design) -> int:
     """Number of orbits of g on the flags of d.
 
@@ -211,23 +205,13 @@ def flag_orbit_count(g: PermGroup, d: Design) -> int:
             raise GeneratorNotAutomorphism(
                 "generator %r does not preserve the block set" % (gen,)
             )
-    actions = [_block_index_action(d, gen) for gen in g.generators]
-    unseen = set(range(d.b))
+    unseen = set(d.block_set)
     total = 0
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            j = queue.pop()
-            for act in actions:
-                jj = act[j]
-                if jj not in orbit:
-                    orbit.add(jj)
-                    queue.append(jj)
-        unseen -= orbit
-        block = d.blocks[start]
-        _, stab = g.orbit_of_set(block)
+    for block in d.blocks:
+        if frozenset(block) not in unseen:
+            continue
+        orbit, stab = g.orbit_of_set(block)
+        unseen.difference_update(orbit)
         in_block = set(block)
         reps = set()
         for point in block:
@@ -257,7 +241,6 @@ def intersection_profile(d: Design, c: BlockSystem) -> IntersectionProfile:
         raise DesignError("partition degree %d != v %d" % (c.degree, d.v))
     parts = [frozenset(part) for part in c.parts]
     ell = None
-    first = None
     for j, blk in enumerate(d.blocks):
         bs = frozenset(blk)
         for i, part in enumerate(parts):
@@ -266,7 +249,6 @@ def intersection_profile(d: Design, c: BlockSystem) -> IntersectionProfile:
                 continue
             if ell is None:
                 ell = size
-                first = (j, i)
             elif size != ell:
                 return IntersectionProfile(
                     ell=ell,
@@ -274,13 +256,16 @@ def intersection_profile(d: Design, c: BlockSystem) -> IntersectionProfile:
                     constant=False,
                     witness=(j, i, size, ell),
                 )
-    assert ell is not None and first is not None
+    if ell is None:
+        raise AssertionError("design has no nonempty block/part intersection")
     k = len(d.blocks[0])
     met = k // ell
     for j, blk in enumerate(d.blocks):
         bs = frozenset(blk)
         count = sum(1 for part in parts if bs & part)
-        assert count * ell == len(blk)
+        if count * ell != len(blk):
+            raise AssertionError("block %d meets %d parts in %d points each, not k"
+                                 % (j, count, ell))
     return IntersectionProfile(ell=ell, parts_met_per_block=met, constant=True)
 
 

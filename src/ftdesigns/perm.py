@@ -436,7 +436,9 @@ class PermGroup:
                         seen_gens.add(sg.images)
                         stab_gens.append(sg)
         stab = PermGroup(stab_gens, degree=self.degree)
-        assert len(orbit_list) * stab.order() == self.order()
+        if len(orbit_list) * stab.order() != self.order():
+            raise AssertionError("orbit-stabilizer identity fails: %d * %d != %d"
+                                 % (len(orbit_list), stab.order(), self.order()))
         return orbit_list, stab
 
     # -- invariant partitions ---------------------------------------------
@@ -523,10 +525,12 @@ class PermGroup:
         systems = []
         for parts in found:
             sizes = {len(part) for part in parts}
-            assert len(sizes) == 1, "congruence of a transitive group has equal parts"
+            if len(sizes) != 1:
+                raise AssertionError("congruence of a transitive group has unequal parts")
             systems.append(BlockSystem(n, parts))
         for sys_ in systems:
-            assert sys_.is_invariant_under(self.generators)
+            if not sys_.is_invariant_under(self.generators):
+                raise AssertionError("block system is not invariant: %r" % (sys_.parts,))
         systems.sort(key=lambda s: (s.part_size, s.parts))
         return systems
 

@@ -1,14 +1,17 @@
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import ftdesigns
 from ftdesigns import cli
 from ftdesigns.construct import construction_36, projective_design
 from ftdesigns.design import format_design_text
-from ftdesigns.perm import format_group_text
+from ftdesigns.perm import Permutation, format_group_text
 from ftdesigns.construct import semilinear_group_15, twisted_diagonal_group
 
 
@@ -183,6 +186,15 @@ def test_aut_json(tmp_path):
                             "generators", "nodes_explored", "elapsed_s"}
 
 
+def test_aut_design_without_blocks(tmp_path, capsys):
+    dpath = tmp_path / "empty.dsg"
+    dpath.write_text("v 3\n")
+    code, text = run_cli(["aut", str(dpath)])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert text == ""
+    assert "input error: design has no blocks" in capsys.readouterr().err
+
+
 def test_aut_node_cap(tmp_path):
     dpath = tmp_path / "d36.dsg"
     dpath.write_text(format_design_text(construction_36()))
@@ -241,3 +253,61 @@ def test_global_flags_both_positions(tmp_path):
     code2, text2 = run_cli(["feasible", "--lambda", "2", "--format", "json"])
     assert code1 == code2 == 0
     assert json.loads(text1) == json.loads(text2)
+
+
+# -- golden outputs ----------------------------------------------------------
+
+# Exact stdout and exit code of each case in `_golden_cases`, captured before
+# the CLI's renderers were folded into one; only `aut-csv` was re-captured,
+# because `--format csv aut` used to print JSON.
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+
+
+def _golden_cases(tmp_path):
+    """(name, argv) of every pinned CLI case; input files go to tmp_path."""
+    pg3 = projective_design(3)
+    files = {
+        "d36.dsg": format_design_text(construction_36()),
+        "d36.grp": format_group_text(twisted_diagonal_group()),
+        "pg3.dsg": format_design_text(pg3),
+        "pg3.grp": format_group_text(semilinear_group_15()),
+        "bad.grp": "degree 36\n(1,2)\n",
+        "nondesign.dsg": "v 4\n1 2 3\n1 2 4\n",
+        "pg3-relabeled.dsg": format_design_text(pg3.relabel(
+            Permutation(random.Random(1).sample(range(1, 16), 15)))),
+    }
+    path = {}
+    for name, text in files.items():
+        path[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    commands = {
+        "feasible-2": ["feasible", "--lambda", "2"],
+        "feasible-3": ["feasible", "--lambda", "3"],
+        "feasible-4": ["feasible", "--lambda", "4"],
+        "bounds-2-5": ["bounds", "2", "5"],
+        "verify-d36-group": ["verify", path["d36.dsg"], path["d36.grp"]],
+        "verify-pg3-group": ["verify", path["pg3.dsg"], path["pg3.grp"]],
+        "verify-d36": ["verify", path["d36.dsg"]],
+        "verify-d36-bad-group": ["verify", path["d36.dsg"], path["bad.grp"]],
+        "verify-nondesign": ["verify", path["nondesign.dsg"]],
+        "aut": ["aut", path["pg3-relabeled.dsg"]],
+    }
+    cases = [("%s-%s" % (name, fmt), ["--format", fmt] + argv)
+             for name, argv in commands.items()
+             for fmt in ("text", "csv", "json")]
+    cases.append(("census36-json", ["--format", "json", "census36"]))
+    return cases
+
+
+def _normalised(text):
+    """The output with its elapsed seconds blanked."""
+    text = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', text)
+    return re.sub(r"^(status: \w+) \([0-9.]+s\)$", r"\1 (0s)", text, flags=re.M)
+
+
+def test_golden_outputs(tmp_path):
+    cases = _golden_cases(tmp_path)
+    assert sorted(name for name, _ in cases) == sorted(GOLDEN)
+    for name, argv in cases:
+        code, text = run_cli(argv)
+        assert [code, _normalised(text)] == GOLDEN[name], name

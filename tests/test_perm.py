@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ftdesigns
 from ftdesigns.perm import (
     CycleParseError,
     GroupError,
@@ -197,3 +201,38 @@ def test_group_file_errors():
         parse_group_text("degree x\n")
     with pytest.raises(CycleParseError):
         parse_group_text("degree 4\n(1,9)\n")
+
+
+def test_perm_and_design_checks_survive_python_O():
+    """The orbit-stabilizer identity, the two block-system checks and the
+    intersection-profile check raise under `python -O`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
+    code = r"""
+from ftdesigns.design import Design, intersection_profile
+from ftdesigns.perm import BlockSystem, PermGroup, Permutation
+assert False, "python -O did not strip asserts"
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError:
+        return True
+    return False
+
+def cyclic4():
+    return PermGroup([Permutation([2, 3, 4, 1])], degree=4)
+
+wrong_order, unequal, not_invariant = cyclic4(), cyclic4(), cyclic4()
+wrong_order.order = lambda: 7
+unequal._min_partition = lambda alpha, beta: ((1, 2, 3), (4,))
+not_invariant._min_partition = lambda alpha, beta: ((1, 2), (3, 4))
+print(raises(wrong_order.orbit_of_set, [1]),
+      raises(unequal.block_systems),
+      raises(not_invariant.block_systems),
+      raises(intersection_profile, Design(4, []), BlockSystem(4, [[1, 2], [3, 4]])))
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True", "True"]
