@@ -20,7 +20,12 @@ point/block incidence structure, in the style of canonical graph labeling:
   labeling defines the canonical form;
 - discovered automorphisms prune sibling subtrees (orbit pruning under the
   subgroup fixing the individualized prefix), which is also how the full
-  automorphism group is generated.
+  automorphism group is generated;
+- a leaf equivalent to the first or the best leaf gives an automorphism
+  carrying the earlier leaf's path onto its own, so it maps the explored
+  subtree below their common ancestor onto the rest of the current one:
+  the search backjumps to that ancestor (McKay 1981), which changes neither
+  the best leaf nor the group generated.
 
 Search size is bounded by a node cap; hitting it raises
 ResourceCapExceeded rather than returning a truncated answer.
@@ -69,12 +74,13 @@ class AutResult:
 
 
 class _Leaf:
-    __slots__ = ("tokens", "cert", "order")
+    __slots__ = ("tokens", "cert", "order", "prefix")
 
-    def __init__(self, tokens, cert, order):
+    def __init__(self, tokens, cert, order, prefix):
         self.tokens = tokens
         self.cert = cert
         self.order = order
+        self.prefix = prefix  # the individualized vertices on its path
 
 
 class _Search:
@@ -194,7 +200,7 @@ class _Search:
 
     # -- leaves -----------------------------------------------------------
 
-    def _leaf(self, cells, tokens):
+    def _leaf(self, cells, tokens, prefix):
         order = [cell[0] for cell in cells]
         position = [0] * len(order)
         for i, u in enumerate(order):
@@ -206,7 +212,7 @@ class _Search:
         cert = ("v=%d;b=%d;" % (self.v, self.b)).encode("ascii") + ";".join(
             ",".join(str(p) for p in blk) for blk in blocks
         ).encode("ascii")
-        return _Leaf(tokens, cert, order)
+        return _Leaf(tokens, cert, order, prefix)
 
     def _record_auto(self, leaf_a, leaf_b):
         n = self.v + self.b
@@ -224,10 +230,14 @@ class _Search:
         self.auto_perms.append(perm)
 
     def _handle_leaf(self, leaf):
+        """Compare a leaf with the first and best leaves; returns the depth
+        of its common ancestor with the shallower one it matches, or None."""
+        jump = None
         if self.first is None:
             self.first = leaf
         elif leaf.tokens == self.first.tokens and leaf.cert == self.first.cert:
             self._record_auto(self.first, leaf)
+            jump = _common_depth(self.first.prefix, leaf.prefix)
         if self.best is None or (leaf.tokens, leaf.cert) > (
             self.best.tokens,
             self.best.cert,
@@ -240,6 +250,9 @@ class _Search:
             and leaf.order != self.best.order
         ):
             self._record_auto(self.best, leaf)
+            depth = _common_depth(self.best.prefix, leaf.prefix)
+            jump = depth if jump is None else min(jump, depth)
+        return jump
 
     # -- pruning ----------------------------------------------------------
 
@@ -267,17 +280,18 @@ class _Search:
         return self
 
     def _recurse(self, cells, tokens, prefix):
+        """Explore the node reached by individualizing ``prefix``; returns
+        None, or the depth of the ancestor to unwind to."""
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise ResourceCapExceeded(self.nodes)
         keep_first = self.first is None or tokens == self.first.tokens[: len(tokens)]
         keep_best = self.best is None or tokens >= self.best.tokens[: len(tokens)]
         if not (keep_first or keep_best):
-            return
+            return None
         sizes = [len(cell) for cell in cells]
         if max(sizes) == 1:
-            self._handle_leaf(self._leaf(cells, tokens))
-            return
+            return self._handle_leaf(self._leaf(cells, tokens, prefix))
         smallest = min(s for s in sizes if s > 1)
         ti = next(i for i, s in enumerate(sizes) if s == smallest)
         explored, gens, seen = [], [], 0  # gens: found autos fixing prefix
@@ -289,8 +303,21 @@ class _Search:
                     continue
             child = self._individualize(cells, ti, w)
             child, token = self._refine(child)
-            self._recurse(child, tokens + (token,), prefix + (w,))
+            jump = self._recurse(child, tokens + (token,), prefix + (w,))
+            if jump is not None and jump < len(prefix):
+                return jump
             explored.append(w)
+        return None
+
+
+def _common_depth(prefix_a, prefix_b):
+    """Length of the longest common prefix: the depth of the common ancestor."""
+    depth = 0
+    for a, b in zip(prefix_a, prefix_b):
+        if a != b:
+            break
+        depth += 1
+    return depth
 
 
 def _run_search(design: Design, node_cap=DEFAULT_NODE_CAP) -> _Search:
@@ -324,17 +351,15 @@ def canonical_form(design: Design, node_cap=DEFAULT_NODE_CAP) -> CanonicalForm:
 def automorphism_group(design: Design, node_cap=DEFAULT_NODE_CAP) -> AutResult:
     """Generators and exact order of the full point-automorphism group.
 
-    The search typically discovers many redundant automorphisms; the
-    returned group is rebuilt from a greedily reduced generating set (a
-    discovered element is kept only if the previously kept ones do not
-    already generate it), which does not change the group."""
+    The search can discover redundant automorphisms; the returned group is
+    grown in place with ``PermGroup.extend`` from a greedily reduced
+    generating set (a discovered element is kept only if the previously
+    kept ones do not already generate it), which does not change the
+    group."""
     search = _run_search(design, node_cap)
-    kept = []
-    group = PermGroup(kept, degree=design.v)
+    group = PermGroup((), degree=design.v)
     for perm in search.auto_perms:
-        if not group.contains(perm):
-            kept.append(perm)
-            group = PermGroup(kept, degree=design.v)
+        group.extend(perm)
     return AutResult(group=group, order=group.order(), nodes_explored=search.nodes)
 
 

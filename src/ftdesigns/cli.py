@@ -321,7 +321,7 @@ def cmd_verify(args, out):
                     if not profile.constant or not ft:
                         continue
                     try:
-                        t = design.tuple_of(d, g, sysm)
+                        t = design.assemble_tuple(params, sysm, profile.ell)
                     except design.DesignError as exc:
                         report.add("feasible-tuple %s" % label, "feasible",
                                    str(exc), "derived")

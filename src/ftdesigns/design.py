@@ -218,7 +218,9 @@ def flag_orbit_count(g: PermGroup, d: Design) -> int:
             if point in reps:
                 continue
             orb = stab.orbit(point)
-            assert set(orb) <= in_block
+            if not in_block.issuperset(orb):
+                raise AssertionError("block stabilizer moves point %d out of its block"
+                                     % point)
             reps.update(orb)
             total += 1
     return total
@@ -289,7 +291,14 @@ def tuple_of(d: Design, g: PermGroup, c: BlockSystem) -> FeasibleTuple:
         raise DesignError(
             "block/part intersections are not constant: %r" % (profile.witness,)
         )
-    ell = profile.ell
+    return assemble_tuple(params, c, profile.ell)
+
+
+def assemble_tuple(params: DesignParameters, c: BlockSystem, ell: int) -> FeasibleTuple:
+    """The second half of ``tuple_of``: the tuple of a 2-design with
+    parameters ``params`` and a partition ``c`` that every block meets in
+    ell points or none, for callers that have already verified the design,
+    the flag-transitive group and the invariant partition."""
     num_parts = c.num_parts
     part_size = c.part_size
     x_linear = params.k - 1 - num_parts * (ell - 1)

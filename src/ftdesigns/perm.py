@@ -2,15 +2,16 @@
 
 Permutations are stored as image tables over 1-based points.  Groups carry a
 base and strong generating set built by a deterministic Schreier-Sims pass
-(base points are the successive smallest moved points), which gives exact
-orders, membership tests, orbits, setwise stabilizers and invariant
-partitions at the degrees used in this package.  All orders are plain Python
-integers, so nothing overflows.
+(base points are the successive smallest moved points) and grown in place by
+``PermGroup.extend``.  This gives exact orders, membership tests, orbits,
+setwise stabilizers and invariant partitions at the degrees used in this
+package.  All orders are plain Python integers, so nothing overflows.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from itertools import combinations
 
 
@@ -53,16 +54,16 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
         oi = other.images
-        return Permutation(oi[i - 1] for i in self.images)
+        return _trusted(tuple([oi[i - 1] for i in self.images]))
 
     def inverse(self):
         inv = [0] * self.degree
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images, start=1))
+        return self.images == _identity_images(len(self.images))
 
     def moved_points(self):
         return [i for i, j in enumerate(self.images, start=1) if i != j]
@@ -106,6 +107,19 @@ class Permutation:
 
     def __repr__(self):
         return "Permutation(%r, degree=%d)" % (format_cycles(self), self.degree)
+
+
+def _trusted(images):
+    """A Permutation on an image tuple that is a bijection by construction
+    (a product or inverse of validated permutations), built unchecked."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
+@cache
+def _identity_images(degree):
+    return tuple(range(1, degree + 1))
 
 
 def parse_cycles(text, degree):
@@ -219,12 +233,13 @@ class BlockSystem:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "orbit_list", "done")
+    __slots__ = ("point", "gens", "transversal", "inverses", "orbit_list", "done")
 
     def __init__(self, point, degree):
         self.point = point
         self.gens = []  # (serial, Permutation) stored at this level
         self.transversal = {point: Permutation.identity(degree)}
+        self.inverses = dict(self.transversal)  # orbit point -> transversal[q]^-1
         self.orbit_list = [point]
         self.done = set()  # processed Schreier pairs (orbit point, gen serial)
 
@@ -233,7 +248,8 @@ class PermGroup:
     """Permutation group from generators, with a base and strong generating set.
 
     Construction is deterministic: given the same generators in the same
-    order, the base, strong generators and transversals are identical.
+    order, the base, strong generators and transversals are identical, and
+    so they are after the same sequence of ``extend`` calls.
     """
 
     def __init__(self, generators, degree=None):
@@ -290,7 +306,9 @@ class PermGroup:
             for _, g in gens:
                 q = g(p)
                 if q not in level.transversal:
-                    level.transversal[q] = up * g
+                    u = up * g
+                    level.transversal[q] = u
+                    level.inverses[q] = u.inverse()
                     level.orbit_list.append(q)
                     queue.append(q)
 
@@ -302,10 +320,10 @@ class PermGroup:
             img = h(level.point)
             if img == level.point:
                 continue
-            u = level.transversal.get(img)
-            if u is None:
+            u_inv = level.inverses.get(img)
+            if u_inv is None:
                 return h
-            h = h * u.inverse()
+            h = h * u_inv
         return h
 
     def _complete_level(self, i):
@@ -321,20 +339,38 @@ class PermGroup:
                         continue
                     level.done.add((p, serial))
                     q = g(p)
-                    sg = level.transversal[p] * g * level.transversal[q].inverse()
+                    sg = level.transversal[p] * g * level.inverses[q]
                     if sg.is_identity():
                         continue
                     residue = self._sift_from(i + 1, sg)
                     if residue.is_identity():
                         continue
                     j = self._place_gen(residue)
-                    assert j is not None and j > i
+                    if j is None or j <= i:
+                        raise AssertionError("Schreier residue placed at level %r, not below %d"
+                                             % (j, i))
                     for k in range(len(self._levels) - 1, i, -1):
                         self._complete_level(k)
                     restart = True
                     break
                 if restart:
                     break
+
+    def extend(self, g):
+        """Add g to the generators unless it is already a member; returns
+        whether the group grew.  The sifted residue becomes a new strong
+        generator, and its level and every shallower one are completed
+        again in place; each level keeps its processed Schreier pairs, so
+        only the pairs with new orbit points or generators are sifted."""
+        if g.degree != self.degree:
+            raise GroupError("generator degree %d does not match %d" % (g.degree, self.degree))
+        residue = self.sift(g)
+        if residue.is_identity():
+            return False
+        self.generators += (g,)
+        for i in range(self._place_gen(residue), -1, -1):
+            self._complete_level(i)
+        return True
 
     # -- queries ---------------------------------------------------------
 

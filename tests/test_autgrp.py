@@ -26,7 +26,7 @@ from ftdesigns.construct import (
     design_96,
 )
 from ftdesigns.design import Design, format_design_text, is_automorphism
-from ftdesigns.perm import Permutation
+from ftdesigns.perm import PermGroup, Permutation
 
 
 def brute_aut_order(d):
@@ -191,6 +191,17 @@ def _relabeled(d, seed):
     return d.relabel(Permutation(rng.sample(range(1, d.v + 1), d.v)))
 
 
+def _oracle_designs():
+    """10 relabelings each of d36 and pg 3, d96 h2/2 and 200 small random
+    designs: the inputs the search oracles run on."""
+    designs = [_relabeled(d, seed) for seed in range(10)
+               for d in (construction_36(), projective_design(3))]
+    designs.append(design_96("h2", 2)[1])
+    rng = random.Random(31)
+    designs += [random_design(rng) for _ in range(200)]
+    return designs
+
+
 def test_refine_matches_reference(monkeypatch):
     refine = _Search._refine
     calls = []
@@ -202,31 +213,112 @@ def test_refine_matches_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(_Search, "_refine", checked)
-    designs = [_relabeled(d, seed) for seed in range(10)
-               for d in (construction_36(), projective_design(3))]
-    designs.append(design_96("h2", 2)[1])
-    rng = random.Random(31)
-    designs += [random_design(rng) for _ in range(200)]
+    designs = _oracle_designs()
     for d in designs:
         automorphism_group(d)
     assert len(calls) > len(designs)
 
 
+class _ReferenceSearch(_Search):
+    """The search before backjumping, with `_recurse` and `_handle_leaf`
+    kept verbatim (only `_leaf` now also takes the prefix) as the oracle:
+    backjumping must not change the best leaf or the group generated."""
+
+    def _handle_leaf(self, leaf):
+        if self.first is None:
+            self.first = leaf
+        elif leaf.tokens == self.first.tokens and leaf.cert == self.first.cert:
+            self._record_auto(self.first, leaf)
+        if self.best is None or (leaf.tokens, leaf.cert) > (
+            self.best.tokens,
+            self.best.cert,
+        ):
+            self.best = leaf
+        elif (
+            leaf is not self.best
+            and leaf.tokens == self.best.tokens
+            and leaf.cert == self.best.cert
+            and leaf.order != self.best.order
+        ):
+            self._record_auto(self.best, leaf)
+
+    def _recurse(self, cells, tokens, prefix):
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            raise ResourceCapExceeded(self.nodes)
+        keep_first = self.first is None or tokens == self.first.tokens[: len(tokens)]
+        keep_best = self.best is None or tokens >= self.best.tokens[: len(tokens)]
+        if not (keep_first or keep_best):
+            return
+        sizes = [len(cell) for cell in cells]
+        if max(sizes) == 1:
+            self._handle_leaf(self._leaf(cells, tokens, prefix))
+            return
+        smallest = min(s for s in sizes if s > 1)
+        ti = next(i for i, s in enumerate(sizes) if s == smallest)
+        explored, gens, seen = [], [], 0  # gens: found autos fixing prefix
+        for w in sorted(cells[ti]):
+            if explored:
+                gens.extend(g for g in self.autos[seen:] if all(g[u] == u for u in prefix))
+                seen = len(self.autos)
+                if gens and self._skip_by_orbit(w, explored, gens):
+                    continue
+            child = self._individualize(cells, ti, w)
+            child, token = self._refine(child)
+            self._recurse(child, tokens + (token,), prefix + (w,))
+            explored.append(w)
+
+
+def _rebuilt_group(perms, degree):
+    """The generator loop `automorphism_group` had before `PermGroup.extend`:
+    keep each non-member and rebuild the group from everything kept."""
+    kept = []
+    group = PermGroup(kept, degree=degree)
+    for perm in perms:
+        if not group.contains(perm):
+            kept.append(perm)
+            group = PermGroup(kept, degree=degree)
+    return group
+
+
+def test_search_matches_reference():
+    for d in _oracle_designs():
+        ref = _ReferenceSearch(d, 10**7).run()
+        got = _Search(d, 10**7).run()
+        assert (got.best.tokens, got.best.cert) == (ref.best.tokens, ref.best.cert)
+        assert got.best.order == ref.best.order
+        assert got.nodes <= ref.nodes
+        rebuilt = _rebuilt_group(ref.auto_perms, d.v)
+        result = automorphism_group(d)
+        assert result.group.generators == rebuilt.generators
+        assert result.order == rebuilt.order()
+        grown = PermGroup((), degree=d.v)
+        for perm in ref.auto_perms:
+            grown.extend(perm)
+        assert grown.generators == rebuilt.generators
+        assert grown.order() == rebuilt.order()
+
+
+def test_pg5_automorphism_group():
+    result = automorphism_group(projective_design(5), node_cap=1000)
+    assert result.order == 20158709760
+
+
 GOLDEN_AUT = {
-    ("d36", 1): {"order": 720, "nodes_explored": 26, "generators": [
+    ("d36", 1): {"order": 720, "nodes_explored": 7, "generators": [
         "(2,20,24,9)(3,34,8,10)(4,14,29,22)(5,6,28,18)(7,15,26,16)(11,17,33,31)(12,25,30,23)(19,32,36,35)",
         "(2,19,3,16,25)(4,27,29,22,14)(5,6,18,28,13)(7,32,30,34,20)(8,36,24,23,15)(9,10,12,35,26)(11,31,21,17,33)",
         "(1,2,24,9)(4,33,18,25)(5,29,36,12)(6,19,17,14)(7,15,21,26)(8,27,10,34)(11,32,22,30)(23,35,28,31)"]},
-    ("d36", 2): {"order": 720, "nodes_explored": 26, "generators": [
+    ("d36", 2): {"order": 720, "nodes_explored": 7, "generators": [
         "(2,10,8,33,36)(3,5,32,23,21)(4,29,19,9,15)(6,18,25,22,17)(7,28,30,11,16)(12,24,27,14,26)(13,35,31,34,20)",
         "(2,7,34,14)(3,32,5,21)(4,9,15,29)(6,22,17,18)(8,16,35,26)(10,30,31,24)(11,20,12,36)(13,27,33,28)",
         "(1,2)(3,14)(4,36)(5,7)(6,29)(8,30)(9,10)(11,31)(12,17)(16,33)(18,35)(19,21)(22,28)(23,34)(24,27)(25,32)"]},
-    ("pg3", 1): {"order": 20160, "nodes_explored": 436, "generators": [
+    ("pg3", 1): {"order": 20160, "nodes_explored": 39, "generators": [
         "(2,4)(3,14)(6,8)(10,15)", "(2,14)(3,4)(6,10)(8,15)",
         "(2,4)(3,14)(6,10)(7,11)(8,15)(12,13)", "(2,4)(3,14)(7,12)(11,13)",
         "(2,15)(3,6)(4,10)(8,14)", "(3,15)(5,7)(9,12)(10,14)",
         "(6,7)(8,12)(10,13)(11,15)", "(1,2)(3,12,13,9,15,6)(5,7,8)(10,11,14)"]},
-    ("pg3", 2): {"order": 20160, "nodes_explored": 795, "generators": [
+    ("pg3", 2): {"order": 20160, "nodes_explored": 39, "generators": [
         "(2,3)(4,7)(5,11)(14,15)", "(2,15)(3,14)(4,5)(7,11)",
         "(2,3)(8,9)(10,13)(14,15)", "(2,3)(4,5)(7,11)(8,10)(9,13)(14,15)",
         "(2,7)(3,4)(5,14)(11,15)", "(4,15)(6,8)(7,14)(9,12)",

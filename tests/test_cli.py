@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import ftdesigns
-from ftdesigns import cli
+from ftdesigns import cli, design
 from ftdesigns.construct import construction_36, projective_design
 from ftdesigns.design import format_design_text
 from ftdesigns.perm import Permutation, format_group_text
@@ -99,13 +99,20 @@ def test_construct_unknown_name():
     assert code == cli.EXIT_INPUT_ERROR
 
 
-def test_verify_with_group(tmp_path):
+def test_verify_with_group(tmp_path, monkeypatch):
     dpath = tmp_path / "d36.dsg"
     gpath = tmp_path / "d36.grp"
     dpath.write_text(format_design_text(construction_36()))
     gpath.write_text(format_group_text(twisted_diagonal_group()))
+    calls = []
+    for name in ("check_2_design", "flag_orbit_count"):
+        fn = getattr(design, name)
+        monkeypatch.setattr(design, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
     code, text = run_cli(["verify", str(dpath), str(gpath), "--format", "json"])
     assert code == 0
+    # the design check and the flag-orbit count run once, not once per system
+    assert sorted(calls) == ["check_2_design", "flag_orbit_count"]
     payload = json.loads(text)
     assert payload["status"] == "pass"
     checks = {f["check"]: f for f in payload["findings"]}
@@ -259,7 +266,8 @@ def test_global_flags_both_positions(tmp_path):
 
 # Exact stdout and exit code of each case in `_golden_cases`, captured before
 # the CLI's renderers were folded into one; only `aut-csv` was re-captured,
-# because `--format csv aut` used to print JSON.
+# because `--format csv aut` used to print JSON, and the node counts of the
+# `aut` cases, when the search began to backjump (436 -> 39 nodes).
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
 
 

@@ -185,6 +185,80 @@ def test_block_systems_requires_transitive():
         g.block_systems()
 
 
+def test_products_and_inverses_match_validated():
+    rng = random.Random(8)
+    for _ in range(100):
+        n = rng.randint(1, 20)
+        p = Permutation(rng.sample(range(1, n + 1), n))
+        q = Permutation(rng.sample(range(1, n + 1), n))
+        assert p * q == Permutation([q(p(x)) for x in range(1, n + 1)])
+        inv = p.inverse()
+        assert inv == Permutation(sorted(range(1, n + 1), key=p))
+        assert (p * inv).is_identity() and (p * inv) == Permutation.identity(n)
+        assert p.is_identity() == (p.images == tuple(range(1, n + 1)))
+    with pytest.raises(ValueError):
+        Permutation([1, 1, 2])
+    with pytest.raises(ValueError):
+        parse_cycles("(1,2)", 3) * Permutation.identity(4)
+
+
+def test_extend():
+    g = PermGroup([parse_cycles("(1,2,3,4,5,6)", 6)])
+    assert not g.extend(parse_cycles("(1,3,5)(2,4,6)", 6))
+    assert g.order() == 6 and len(g.generators) == 1
+    assert g.extend(parse_cycles("(1,2)", 6))
+    assert g.order() == 720
+    assert g.generators == (parse_cycles("(1,2,3,4,5,6)", 6), parse_cycles("(1,2)", 6))
+    assert not g.extend(parse_cycles("(3,4)", 6))
+    with pytest.raises(GroupError):
+        g.extend(Permutation.identity(5))
+    grown = PermGroup([], degree=8)
+    assert grown.extend(parse_cycles("(1,2)", 8))
+    assert grown.extend(parse_cycles("(1,2,3,4,5,6,7,8)", 8))
+    assert grown.order() == math.factorial(8)
+    for _, orbit, transversal in grown.basic_orbits:
+        assert set(transversal) == set(orbit)
+
+
+def test_orders_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from ftdesigns.construct import (
+        block_regular_group_96,
+        coset_model_group,
+        semilinear_group_15,
+        twisted_diagonal_group,
+    )
+
+    def sympy_order(gens, degree):
+        return combinatorics.PermutationGroup(
+            [combinatorics.Permutation([g(x) - 1 for x in range(1, degree + 1)])
+             for g in gens] or [combinatorics.Permutation(degree - 1)]).order()
+
+    shipped = [twisted_diagonal_group(), coset_model_group(), semilinear_group_15(),
+               block_regular_group_96("h1"), block_regular_group_96("h2")]
+    for g in shipped:
+        assert g.order() == sympy_order(g.generators, g.degree)
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:  # a product of few transpositions
+                images = list(range(1, n + 1))
+                for _ in range(rng.randint(1, 2)):
+                    a, b = rng.sample(range(n), 2)
+                    images[a], images[b] = images[b], images[a]
+                gens.append(Permutation(images))
+            else:
+                gens.append(Permutation(rng.sample(range(1, n + 1), n)))
+        want = sympy_order(gens, n)
+        assert PermGroup(gens).order() == want
+        grown = PermGroup([], degree=n)
+        for gen in gens:
+            grown.extend(gen)
+        assert grown.order() == want
+
+
 def test_group_file_round_trip():
     g = S6()
     text = format_group_text(g)
@@ -204,11 +278,12 @@ def test_group_file_errors():
 
 
 def test_perm_and_design_checks_survive_python_O():
-    """The orbit-stabilizer identity, the two block-system checks and the
-    intersection-profile check raise under `python -O`."""
+    """The orbit-stabilizer identity, the two block-system checks, the
+    Schreier-Sims placement check, the intersection-profile check and the
+    flag-orbit stabilizer check raise under `python -O`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     code = r"""
-from ftdesigns.design import Design, intersection_profile
+from ftdesigns.design import Design, flag_orbit_count, intersection_profile
 from ftdesigns.perm import BlockSystem, PermGroup, Permutation
 assert False, "python -O did not strip asserts"
 
@@ -226,13 +301,22 @@ wrong_order, unequal, not_invariant = cyclic4(), cyclic4(), cyclic4()
 wrong_order.order = lambda: 7
 unequal._min_partition = lambda alpha, beta: ((1, 2, 3), (4,))
 not_invariant._min_partition = lambda alpha, beta: ((1, 2), (3, 4))
+swap = Permutation([2, 1, 3, 4])
+misplaced = cyclic4()
+misplaced._sift_from = lambda i, h: swap  # every residue moves base point 1
+leaky = PermGroup([], degree=4)
+leaky.orbit_of_set = lambda points: ([frozenset(points)], cyclic4())
 print(raises(wrong_order.orbit_of_set, [1]),
       raises(unequal.block_systems),
       raises(not_invariant.block_systems),
-      raises(intersection_profile, Design(4, []), BlockSystem(4, [[1, 2], [3, 4]])))
+      raises(misplaced.extend, swap),
+      raises(intersection_profile, Design(4, []), BlockSystem(4, [[1, 2], [3, 4]])),
+      raises(flag_orbit_count, leaky, Design(4, [(1, 2)])))
 """
     env = dict(os.environ, PYTHONPATH=src)
+    # without its placement check, `misplaced.extend` places residues at
+    # level 0 forever, so the run is bounded
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True", "True", "True"]
+    assert proc.stdout.split() == ["True"] * 6
