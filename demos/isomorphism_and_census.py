@@ -23,7 +23,7 @@ iso, witness = are_isomorphic(grid, cosets)
 print("isomorphic:", iso)
 print("witness relabeling (first 12 images):", witness.images[:12])
 
-print("\nrunning the orbit census (a few seconds)...")
+print("\nrunning the orbit census (well under a second)...")
 report = uniqueness_census_36()
 print("qualifying 8-subsets:", report.qualifying_subsets)
 print("orbit sizes (size, count):", report.orbit_sizes)

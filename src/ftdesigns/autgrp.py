@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional
 
 from .construct import twisted_diagonal_group
@@ -394,39 +395,32 @@ class CensusReport:
     isomorphic: Optional[bool]
 
 
+# The 90 ways to put two cells in each row and each column of a 4x4 grid,
+# each as its 8 (row, column) cells.
+_TWO_IN_EACH_4X4 = tuple(
+    tuple((r, c) for r, pair in enumerate(choice) for c in pair)
+    for choice in product(combinations(range(4), 2), repeat=4)
+    if sorted(c for pair in choice for c in pair) == [0, 0, 1, 1, 2, 2, 3, 3]
+)
+
+
 def _qualifying_masks(rows, cols):
     """Bitmasks of all 8-subsets meeting exactly four parts of each system
-    in exactly 2 points (and none otherwise)."""
-    from itertools import combinations
+    in exactly 2 points (and none otherwise).
 
-    col_index = {}
-    for ci, part in enumerate(cols):
-        for p in part:
-            col_index[p] = ci
-    row_opts = []
-    for part in rows:
-        opts = []
-        for a, b in combinations(sorted(part), 2):
-            mask = (1 << (a - 1)) | (1 << (b - 1))
-            opts.append((mask, col_index[a], col_index[b]))
-        row_opts.append(opts)
+    Each is four rows, four columns and one of the 90 two-in-each 4x4
+    patterns, with a cell standing for the point where its row meets its
+    column; that needs every row to meet every column in one point, and
+    then distinct cells are distinct points, so their bits add."""
+    meet = [[set(row) & set(col) for col in cols] for row in rows]
+    if any(len(points) != 1 for line in meet for points in line):
+        raise AssertionError("the two systems are not the rows and columns of a grid")
+    bits = [[1 << (min(points) - 1) for points in line] for line in meet]
     out = []
-    for rowset in combinations(range(len(rows)), 4):
-        o1, o2, o3, o4 = (row_opts[i] for i in rowset)
-        for m1, a1, b1 in o1:
-            c1 = Counter((a1, b1))
-            for m2, a2, b2 in o2:
-                c2 = c1 + Counter((a2, b2))
-                if any(x > 2 for x in c2.values()):
-                    continue
-                for m3, a3, b3 in o3:
-                    c3 = c2 + Counter((a3, b3))
-                    if any(x > 2 for x in c3.values()):
-                        continue
-                    for m4, a4, b4 in o4:
-                        c4 = c3 + Counter((a4, b4))
-                        if len(c4) == 4 and all(x == 2 for x in c4.values()):
-                            out.append(m1 | m2 | m3 | m4)
+    for rs in combinations(range(len(rows)), 4):
+        for cs in combinations(range(len(cols)), 4):
+            cells = [[bits[r][c] for c in cs] for r in rs]
+            out.extend(sum(cells[r][c] for r, c in p) for p in _TWO_IN_EACH_4X4)
     return out
 
 

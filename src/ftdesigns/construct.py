@@ -7,9 +7,12 @@
   outer automorphism of Sym(6), pinned down by its effect on the standard
   generators.
 - ``construction_36_cosets``: the same design built from the conjugation
-  action of Sym(6) on its 36 Frobenius subgroups of order 20 (normalizers
-  of the Sylow 5-subgroups), with blocks read off orbits of dihedral
-  stabilizers of (letter pair, bisection) data.
+  action of Sym(6) on its 36 Frobenius subgroups of order 20, with blocks
+  read off orbits of dihedral stabilizers of (letter pair, bisection) data.
+  Each of these subgroups is the normalizer of exactly one Sylow
+  5-subgroup, and conjugation carries normalizers as it carries their
+  Sylow subgroups, so a point is named by its Sylow subgroup's smallest
+  generating 5-cycle and Sym(6) acts by relabeling that cycle's letters.
 - ``projective_design``: the classical symmetric 2-(2^(n+1)-1, 2^n, 2^(n-1))
   design on the nonzero vectors of a binary space, blocks the complements
   of the hyperplanes.  ``semilinear_group_15`` gives its point-imprimitive
@@ -79,7 +82,8 @@ def twisted_diagonal_group():
         parse_cycles(OUTER_AUT_IMAGES["(1,2,3,4,5,6)"], 6),
     )
     group = PermGroup([a1, a2])
-    assert group.order() == 720
+    if group.order() != 720:
+        raise AssertionError("twisted diagonal group has order %d, not 720" % group.order())
     return group
 
 
@@ -103,7 +107,8 @@ def construction_36() -> Design:
     """The flag-regular 2-(36,8,4) design: orbit of the base block
     {1,2,7,9,14,16,21,22} under the twisted-diagonal group; 90 blocks."""
     d = orbit_design(twisted_diagonal_group(), CONSTRUCTION_36_BASE_BLOCK)
-    assert d.b == 90
+    if d.b != 90:
+        raise AssertionError("grid design has %d blocks, not 90" % d.b)
     return d
 
 
@@ -114,66 +119,44 @@ def _s6_elements():
     return [Permutation(images) for images in permutations(range(1, 7))]
 
 
-def _conjugate_subgroup(subgroup, g):
-    gi = g.inverse()
-    return frozenset(gi * p * g for p in subgroup)
-
-
-def _cyclic_closure(p):
-    out = [Permutation.identity(p.degree)]
-    q = p
-    while not q.is_identity():
-        out.append(q)
-        q = q * p
-    return frozenset(out)
+def _sylow_name(cycle):
+    """The smallest generating 5-cycle, as a cycle tuple starting at its
+    smallest letter, of the subgroup generated by the 5-cycle ``cycle``."""
+    names = []
+    for k in range(1, 5):
+        power = [cycle[i * k % 5] for i in range(5)]
+        s = power.index(min(power))
+        names.append(tuple(power[s:] + power[:s]))
+    return min(names)
 
 
 class FrobeniusModel:
     """The 36 order-20 Frobenius subgroups of Sym(6) as labeled points.
 
-    Points are the normalizers of the 36 Sylow 5-subgroups, sorted by their
-    minimal generating 5-cycle (cycle-tuple order); Sym(6) acts by
-    conjugation.  Each point fixes exactly one letter, giving the invariant
-    partition used by the coset construction."""
+    Each such subgroup is the normalizer of exactly one Sylow 5-subgroup
+    (its own, which is normal in it), and conjugating the normalizer of P
+    by g gives the normalizer of g^-1 P g.  So a point is named by the
+    smallest generating 5-cycle of its Sylow 5-subgroup, points are sorted
+    by that name, and Sym(6) acts on them as on the 5-cycles: g relabels
+    each letter a of the cycle as g(a).  Each point fixes exactly one
+    letter, the one its 5-cycle misses, giving the invariant partition used
+    by the coset construction."""
 
     def __init__(self):
-        s6 = _s6_elements()
-        sylows = set()
-        for g in s6:
-            cyc = g.cycles()
-            if len(cyc) == 1 and len(cyc[0]) == 5:
-                sylows.add(_cyclic_closure(g))
-        assert len(sylows) == 36
-        frobs = []
-        for syl in sylows:
-            normalizer = frozenset(
-                g for g in s6 if _conjugate_subgroup(syl, g) == syl
-            )
-            assert len(normalizer) == 20
-            frobs.append((syl, normalizer))
-
-        def min_5cycle(syl):
-            return min(
-                p.cycles()[0]
-                for p in syl
-                if len(p.cycles()) == 1 and len(p.cycles()[0]) == 5
-            )
-
-        frobs.sort(key=lambda pair: min_5cycle(pair[0]))
-        self.s6 = s6
-        self.points = [normalizer for _, normalizer in frobs]
-        self.index_of = {n: i + 1 for i, n in enumerate(self.points)}
-        self.fixed_letter = {}
-        for i, n in enumerate(self.points):
-            fixed = [x for x in range(1, 7) if all(g(x) == x for g in n)]
-            assert len(fixed) == 1
-            self.fixed_letter[i + 1] = fixed[0]
+        self.s6 = _s6_elements()
+        self.points = sorted({_sylow_name(c) for c in permutations(range(1, 7), 5)})
+        if len(self.points) != 36:
+            raise AssertionError("expected 36 Sylow 5-subgroups, found %d" % len(self.points))
+        self.index_of = {name: i + 1 for i, name in enumerate(self.points)}
+        self.fixed_letter = {
+            i + 1: (set(range(1, 7)) - set(name)).pop()
+            for i, name in enumerate(self.points)
+        }
 
     def induced(self, g: Permutation) -> Permutation:
         """The degree-36 permutation of the points induced by conjugation."""
         return Permutation(
-            self.index_of[_conjugate_subgroup(self.points[i], g)]
-            for i in range(36)
+            self.index_of[_sylow_name([g(a) for a in name])] for name in self.points
         )
 
     def group(self) -> PermGroup:
@@ -183,7 +166,8 @@ class FrobeniusModel:
                 self.induced(parse_cycles("(1,2,3,4,5,6)", 6)),
             ]
         )
-        assert g.order() == 720
+        if g.order() != 720:
+            raise AssertionError("coset model group has order %d, not 720" % g.order())
         return g
 
     def triple_data(self, x, xp, bisection):
@@ -192,10 +176,14 @@ class FrobeniusModel:
         dihedral stabilizer of (x, x', pi), and the two orbit blocks
         interchanged by the stabilizer's normalizer (the third is fixed).
 
-        Raises AssertionError if the orbit structure deviates."""
+        Raises ValueError unless x, x' and the bisection's letters are
+        1..6, and AssertionError if the orbit structure deviates."""
         (z1, z2), (z3, z4) = bisection
-        letters = {x, xp, z1, z2, z3, z4}
-        assert letters == set(range(1, 7)) and x != xp
+        if sorted((x, xp, z1, z2, z3, z4)) != list(range(1, 7)):
+            raise ValueError(
+                "x, x' and the bisection must use each letter 1..6 once: %r"
+                % ((x, xp, bisection),)
+            )
         hgens6 = [
             parse_cycles("(%d,%d)" % (z1, z2), 6),
             parse_cycles("(%d,%d)" % (z3, z4), 6),
@@ -210,33 +198,44 @@ class FrobeniusModel:
             helements.add(h)
             for g in hgens6:
                 frontier.append(h * g)
-        assert len(helements) == 8
-        helements = frozenset(helements)
+        if len(helements) != 8:
+            raise AssertionError("stabilizer has order %d, not 8" % len(helements))
         h36 = PermGroup([self.induced(g) for g in hgens6])
         zset = {z1, z2, z3, z4}
         p24 = frozenset(
             pt for pt in range(1, 37) if self.fixed_letter[pt] in zset
         )
-        assert len(p24) == 24
+        if len(p24) != 24:
+            raise AssertionError("%d points fix a letter of the bisection, not 24" % len(p24))
         seen = set()
         orbits = []
         for pt in sorted(p24):
             if pt in seen:
                 continue
             orb = frozenset(h36.orbit(pt))
-            assert orb <= p24
+            if not orb <= p24:
+                raise AssertionError("stabilizer orbit leaves the 24 points")
             orbits.append(orb)
             seen |= orb
-        assert sorted(len(o) for o in orbits) == [8, 8, 8]
+        if sorted(len(o) for o in orbits) != [8, 8, 8]:
+            raise AssertionError(
+                "stabilizer orbit sizes %s, not [8, 8, 8]" % sorted(len(o) for o in orbits)
+            )
         normalizer = [
-            g for g in self.s6 if _conjugate_subgroup(helements, g) == helements
+            self.induced(g)
+            for g in self.s6
+            if all(g.inverse() * h * g in helements for h in hgens6)
         ]
         moved, invariant = [], []
         for orb in orbits:
-            images = {self.induced(g).image_of_set(orb) for g in normalizer}
-            assert images <= set(orbits)
+            images = {g.image_of_set(orb) for g in normalizer}
+            if not images <= set(orbits):
+                raise AssertionError("the normalizer does not permute the orbits")
             (invariant if images == {orb} else moved).append(orb)
-        assert len(invariant) == 1 and len(moved) == 2
+        if len(invariant) != 1 or len(moved) != 2:
+            raise AssertionError(
+                "%d orbits fixed by the normalizer, not 1" % len(invariant)
+            )
         moved.sort(key=lambda o: tuple(sorted(o)))
         return p24, orbits, moved, invariant[0]
 
@@ -260,24 +259,18 @@ def _frobenius_model():
     return FrobeniusModel()
 
 
-def construction_36_cosets(verify_all_triples=False):
+def construction_36_cosets():
     """The 2-(36,8,4) design in the Frobenius-subgroup model.
 
     Blocks are the orbit of the chosen 8-point block of the canonical first
     triple ((1,2), {{3,4},{5,6}}); of the two stabilizer orbits swapped by
     the normalizer, the one with lexicographically smaller sorted point list
-    is chosen (both give the same block set, which the tests confirm).  With
-    verify_all_triples=True the orbit structure is re-verified for all 45
-    (pair, bisection) classes before constructing."""
+    is chosen (both give the same block set, which the tests confirm)."""
     model = _frobenius_model()
-    triples = model.triples() if verify_all_triples else [model.triples()[0]]
-    seed = None
-    for x, xp, bisection in triples:
-        _, _, moved, _ = model.triple_data(x, xp, bisection)
-        if seed is None:
-            seed = moved[0]
+    seed = model.triple_data(*model.triples()[0])[2][0]
     design = orbit_design(model.group(), seed)
-    assert design.b == 90
+    if design.b != 90:
+        raise AssertionError("coset design has %d blocks, not 90" % design.b)
     return design
 
 
@@ -344,7 +337,8 @@ def semilinear_group_15() -> PermGroup:
         lambda a, b: (_GF4_MUL[a][a], _GF4_MUL[b][b])
     )
     group = PermGroup([swap, transvection, diag, frobenius])
-    assert group.order() == 360
+    if group.order() != 360:
+        raise AssertionError("semilinear group has order %d, not 360" % group.order())
     return group
 
 
@@ -407,7 +401,11 @@ def block_regular_group_96(group_id: str) -> PermGroup:
     if group_id not in ("h1", "h2"):
         raise ValueError("group_id must be 'h1' or 'h2'")
     group = parse_group_text(_load_data_text("%s_group.txt" % group_id))
-    assert group.degree == 96 and group.order() == 96
+    if group.degree != 96 or group.order() != 96:
+        raise AssertionError(
+            "%s has degree %d and order %d, not 96 and 96"
+            % (group_id, group.degree, group.order())
+        )
     return group
 
 
@@ -422,9 +420,9 @@ def design_96(group_id: str, block_id: int):
         raise ValueError("unknown design %r; use ('h1'|'h2', 1|2)" % (key,))
     group = block_regular_group_96(group_id)
     design = orbit_design(group, BASE_BLOCKS_96[key])
-    assert design.b == 96
     params = check_2_design(design)
-    assert params.as_tuple() == (96, 96, 20, 20, 4)
+    if params.as_tuple() != (96, 96, 20, 20, 4):
+        raise AssertionError("design %r has parameters %s" % (key, params.as_tuple()))
     return group, design
 
 

@@ -65,9 +65,6 @@ class Permutation:
     def is_identity(self):
         return self.images == _identity_images(len(self.images))
 
-    def moved_points(self):
-        return [i for i, j in enumerate(self.images, start=1) if i != j]
-
     def min_moved(self):
         for i, j in enumerate(self.images, start=1):
             if i != j:
@@ -203,12 +200,6 @@ class BlockSystem:
     @property
     def part_size(self):
         return len(self.parts[0])
-
-    def part_of(self, point):
-        for part in self.parts:
-            if point in part:
-                return part
-        raise ValueError("point %d out of range" % point)
 
     def is_invariant_under(self, perms):
         partset = {frozenset(part) for part in self.parts}

@@ -14,6 +14,7 @@ from ftdesigns import cli
 from ftdesigns.autgrp import (
     ResourceCapExceeded,
     _Search,
+    _qualifying_masks,
     are_isomorphic,
     automorphism_group,
     canonical_form,
@@ -353,8 +354,31 @@ def test_certificate_golden():
         assert hashlib.sha256(canonical_form(d).certificate).hexdigest() == digest
 
 
+def test_qualifying_masks_golden():
+    # sha256 of the sorted census masks, as counted by the row-by-row search
+    # over column tallies that the grid-pattern construction replaced
+    systems = twisted_diagonal_group().block_systems()
+    masks = _qualifying_masks(systems[0].parts, systems[1].parts)
+    assert len(set(masks)) == len(masks) == 20250
+    digest = hashlib.sha256(",".join(map(str, sorted(masks))).encode()).hexdigest()
+    assert digest == "60813731080a09517de62bc579045869b69ecb9a464d133a8c291b24f212fe31"
+
+
+def test_qualifying_masks_need_a_grid():
+    rows = [tuple(range(6 * i + 1, 6 * i + 7)) for i in range(6)]
+    cols = [tuple(range(j + 1, 37, 6)) for j in range(6)]
+    assert len(_qualifying_masks(rows, cols)) == 20250
+    # points 1 and 8 trade columns: the second row meets the first column
+    # in 7 and 8 and the second column in no point
+    swapped = [(8,) + cols[0][1:], (2, 1) + cols[1][2:]]
+    for bad in (rows, swapped + cols[2:]):
+        with pytest.raises(AssertionError):
+            _qualifying_masks(rows, bad)
+
+
 def test_autgrp_checks_survive_python_O():
-    """The witness, orbit-closure and census checks raise under `python -O`."""
+    """The witness, orbit-closure, grid and census checks raise under
+    `python -O`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     code = r"""
 import sys
@@ -382,10 +406,11 @@ cycle36 = Permutation(list(range(2, 37)) + [1])
 autgrp.twisted_diagonal_group = lambda: PermGroup([cycle36], degree=36)
 print(raises(autgrp.are_isomorphic, d, swapped),
       raises(autgrp._mask_orbits, [1], [cycle36]),
+      raises(autgrp._qualifying_masks, [(1, 2)], [(1, 2)]),
       raises(autgrp.uniqueness_census_36))
 """
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True", "True"]
+    assert proc.stdout.split() == ["True"] * 4

@@ -1,5 +1,13 @@
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+from itertools import permutations
+
 import pytest
 
+import ftdesigns
 from ftdesigns.construct import (
     CONSTRUCTION_36_BASE_BLOCK,
     FrobeniusModel,
@@ -26,7 +34,7 @@ from ftdesigns.design import (
     is_automorphism,
     is_flag_transitive,
 )
-from ftdesigns.perm import PermGroup, parse_cycles
+from ftdesigns.perm import PermGroup, Permutation, parse_cycles
 
 
 def test_grid_encoding():
@@ -84,6 +92,132 @@ def test_coset_triple_structure():
     d1 = orbit_design(g, moved[0])
     d2 = orbit_design(g, moved[1])
     assert d1 == d2
+
+
+def _conjugate_subgroup(subgroup, g):
+    gi = g.inverse()
+    return frozenset(gi * p * g for p in subgroup)
+
+
+def _cyclic_closure(p):
+    out = [Permutation.identity(p.degree)]
+    q = p
+    while not q.is_identity():
+        out.append(q)
+        q = q * p
+    return frozenset(out)
+
+
+class _ReferenceFrobeniusModel(FrobeniusModel):
+    """The coset model as first built: each point is an order-20 normalizer
+    found by scanning Sym(6), sorted by its smallest 5-cycle, and Sym(6)
+    acts by conjugating all 20 of its elements.  ``triple_data`` is
+    inherited, so it runs on this point action."""
+
+    def __init__(self):
+        s6 = [Permutation(images) for images in permutations(range(1, 7))]
+        sylows = set()
+        for g in s6:
+            if g.order() == 5:
+                sylows.add(_cyclic_closure(g))
+        assert len(sylows) == 36
+        frobs = []
+        for syl in sylows:
+            normalizer = frozenset(g for g in s6 if _conjugate_subgroup(syl, g) == syl)
+            assert len(normalizer) == 20
+            frobs.append((min(p.cycles()[0] for p in syl if p.order() == 5), normalizer))
+        frobs.sort(key=lambda pair: pair[0])
+        self.s6 = s6
+        self.points = [normalizer for _, normalizer in frobs]
+        self.index_of = {n: i + 1 for i, n in enumerate(self.points)}
+        self.fixed_letter = {}
+        for i, n in enumerate(self.points):
+            fixed = [x for x in range(1, 7) if all(g(x) == x for g in n)]
+            assert len(fixed) == 1
+            self.fixed_letter[i + 1] = fixed[0]
+
+    def induced(self, g):
+        return Permutation(
+            self.index_of[_conjugate_subgroup(self.points[i], g)] for i in range(36)
+        )
+
+
+def test_coset_model_matches_brute_force_reference():
+    model, ref = FrobeniusModel(), _ReferenceFrobeniusModel()
+    # a point's name is the smallest 5-cycle of its normalizer
+    assert [min(p.cycles()[0] for p in n if p.order() == 5) for n in ref.points] \
+        == model.points
+    assert model.fixed_letter == ref.fixed_letter
+    for text in ("(1,2)", "(1,2,3,4,5,6)"):
+        g = parse_cycles(text, 6)
+        assert model.induced(g) == ref.induced(g)
+    first = model.triples()[0]
+    assert model.triple_data(*first) == ref.triple_data(*first)
+
+
+def test_triple_data_rejects_bad_letters():
+    model = FrobeniusModel()
+    for x, xp, bisection in [(1, 1, ((3, 4), (5, 6))), (1, 2, ((3, 4), (5, 7))),
+                             (1, 2, ((3, 3), (5, 6)))]:
+        with pytest.raises(ValueError):
+            model.triple_data(x, xp, bisection)
+
+
+def test_construct_checks_survive_python_O():
+    """The group-order, triple-structure and block-count checks of
+    `construct` raise under `python -O`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
+    code = r"""
+from ftdesigns import construct
+from ftdesigns.perm import PermGroup, Permutation
+assert False, "python -O did not strip asserts"
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError:
+        return True
+    return False
+
+class OrderOne(PermGroup):
+    def order(self):
+        return 1
+
+construct.PermGroup = OrderOne
+checks = [raises(construct.twisted_diagonal_group),
+          raises(construct.semilinear_group_15)]
+construct.PermGroup = PermGroup
+first = construct.FrobeniusModel.triples()[0]
+trivial = construct.FrobeniusModel()
+trivial.induced = lambda g: Permutation(range(1, 37))
+one_letter = construct.FrobeniusModel()
+one_letter.fixed_letter = dict.fromkeys(range(1, 37), 1)
+checks += [raises(trivial.group),
+           raises(trivial.triple_data, *first),
+           raises(one_letter.triple_data, *first)]
+orbit_design = construct.orbit_design
+construct.orbit_design = lambda group, block: orbit_design(group, [1])
+checks += [raises(construct.construction_36),
+           raises(construct.construction_36_cosets)]
+print(*checks)
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 7
+
+
+def test_package_has_no_bare_asserts():
+    """`python -O` strips `assert` statements, so the package raises
+    explicitly instead."""
+    package = pathlib.Path(ftdesigns.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_projective_design():
