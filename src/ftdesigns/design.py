@@ -334,15 +334,17 @@ def assemble_tuple(params: DesignParameters, c: BlockSystem, ell: int) -> Feasib
 
 
 def parse_design_text(text: str) -> Design:
-    """Read the design file format: line 1 ``v <n>``, then one block per
-    non-empty, non-# line as ascending space-separated point indices."""
+    """Read the design file format: line 1 exactly ``v <n>`` with n >= 1,
+    then one block per non-empty, non-# line as ascending space-separated
+    point indices."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("v"):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "v" or not header[1].isdecimal():
         raise DesignError("design file must start with a 'v <n>' line")
     try:
-        v = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        v = int(header[1])
+    except ValueError:  # more digits than int() converts
         raise DesignError("bad header line: %r" % lines[0]) from None
     blocks = []
     for ln in lines[1:]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cache
-from itertools import combinations
 
 
 class CycleParseError(ValueError):
@@ -470,11 +469,12 @@ class PermGroup:
 
     # -- invariant partitions ---------------------------------------------
 
-    def _min_partition(self, alpha, beta):
-        """Finest G-congruence identifying alpha and beta, as a sorted
-        tuple of sorted parts (may be the trivial one-part partition)."""
+    def _min_partition(self, seed):
+        """Finest G-congruence with every point of seed in one part, as a
+        sorted tuple of sorted parts (may be the trivial one-part partition)."""
         n = self.degree
         parent = list(range(n + 1))
+        tables = [(0,) + g.images for g in self.generators]
 
         def find(x):
             while parent[x] != x:
@@ -491,12 +491,16 @@ class PermGroup:
             parent[rb] = ra
             return rb
 
-        queue = deque([union(alpha, beta)])
+        queue = deque()
+        for p in seed[1:]:
+            absorbed = union(seed[0], p)
+            if absorbed is not None:
+                queue.append(absorbed)
         while queue:
             gamma = queue.popleft()
             delta = find(gamma)
-            for g in self.generators:
-                absorbed = union(g(gamma), g(delta))
+            for img in tables:
+                absorbed = union(img[gamma], img[delta])
                 if absorbed is not None:
                     queue.append(absorbed)
         groups = {}
@@ -504,51 +508,36 @@ class PermGroup:
             groups.setdefault(find(p), []).append(p)
         return tuple(sorted(tuple(part) for part in groups.values()))
 
-    @staticmethod
-    def _join(parts1, parts2):
-        points = [p for part in parts1 for p in part]
-        parent = {p: p for p in points}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for parts in (parts1, parts2):
-            for part in parts:
-                r = find(part[0])
-                for p in part[1:]:
-                    rp = find(p)
-                    if rp != r:
-                        parent[max(rp, r)] = min(rp, r)
-                        r = min(rp, r)
-        groups = {}
-        for p in points:
-            groups.setdefault(find(p), []).append(p)
-        return tuple(sorted(tuple(sorted(part)) for part in groups.values()))
-
     def block_systems(self):
-        """All nontrivial invariant partitions, via minimal congruences for
-        the pairs {1, beta} closed under joins.  Sorted by part size, then
-        lexicographically by first part.  Requires a transitive group."""
+        """All nontrivial invariant partitions.  Sorted by part size, then
+        lexicographically by first part.  Requires a transitive group.
+
+        Every block through point 1 is the join of the minimal blocks
+        Min(1, beta) it contains (Atkinson, *An algorithm for finding the
+        blocks of a permutation group*, Math. Comp. 29, 1975), so a worklist
+        reaches them all: each found partition's part through 1 is joined,
+        by one seeded ``_min_partition``, with every minimal part through 1
+        it does not already contain."""
         if not self.is_transitive():
             raise GroupError("block systems require a transitive group")
         n = self.degree
-        found = set()
+        minimal = set()
         for beta in range(2, n + 1):
-            parts = self._min_partition(1, beta)
+            parts = self._min_partition((1, beta))
             if 1 < len(parts) < n:
-                found.add(parts)
-        # close under joins (the join of two invariant partitions is invariant)
-        changed = True
-        while changed:
-            changed = False
-            for p1, p2 in combinations(sorted(found), 2):
-                j = self._join(p1, p2)
-                if 1 < len(j) < n and j not in found:
-                    found.add(j)
-                    changed = True
+                minimal.add(parts)
+        found = set(minimal)
+        worklist = list(minimal)
+        while worklist:
+            block = worklist.pop()[0]  # parts are sorted, so parts[0] holds 1
+            members = set(block)
+            for m in minimal:
+                if members.issuperset(m[0]):
+                    continue
+                parts = self._min_partition(block + m[0])
+                if 1 < len(parts) and parts not in found:
+                    found.add(parts)
+                    worklist.append(parts)
         systems = []
         for parts in found:
             sizes = {len(part) for part in parts}
@@ -573,16 +562,19 @@ class PermGroup:
 
 
 def parse_group_text(text):
-    """Read the group file format: line 1 ``degree <n>``, then one generator
-    per non-empty, non-# line in disjoint-cycle notation."""
+    """Read the group file format: line 1 exactly ``degree <n>`` with n >= 1,
+    then one generator per non-empty, non-# line in disjoint-cycle notation."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("degree"):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "degree" or not header[1].isdecimal():
         raise GroupError("group file must start with a 'degree <n>' line")
     try:
-        degree = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise GroupError("bad degree line: %r" % lines[0]) from None
+        degree = int(header[1])
+    except ValueError:  # more digits than int() converts
+        raise GroupError("bad header line: %r" % lines[0]) from None
+    if degree < 1:
+        raise GroupError("group degree must be positive")
     gens = [parse_cycles(ln, degree) for ln in lines[1:]]
     return PermGroup(gens, degree=degree)
 

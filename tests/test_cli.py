@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ftdesigns
 from ftdesigns import cli, design
 from ftdesigns.construct import construction_36, projective_design
@@ -165,6 +167,45 @@ def test_verify_parse_error(tmp_path):
     dpath.write_text("not a design\n")
     code, _ = run_cli(["verify", str(dpath)])
     assert code == cli.EXIT_INPUT_ERROR
+
+
+# the complete 2-(4,2,1) design, so that `verify` goes on to read the group
+PAIRS_ON_4 = "v 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+C4 = "degree 4\n(1,2,3,4)\n"
+
+
+@pytest.mark.parametrize("design_text, group_text", [
+    pytest.param("vx 4\n1 2\n", None, id="design-header-word"),
+    pytest.param("v 4 5\n1 2\n", None, id="design-header-extra-token"),
+    pytest.param("v\n1 2\n", None, id="design-header-no-count"),
+    pytest.param("v 0\n", None, id="design-header-zero"),
+    pytest.param("v " + "9" * 5000 + "\n", None, id="design-header-too-many-digits"),
+    pytest.param(PAIRS_ON_4, "degreex 4\n(1,2,3,4)\n", id="group-header-word"),
+    pytest.param(PAIRS_ON_4, "degree 4 9\n(1,2,3,4)\n", id="group-header-extra-token"),
+    pytest.param(PAIRS_ON_4, "degree 0\n", id="group-header-zero"),
+    pytest.param("", None, id="empty-design"),
+    pytest.param(PAIRS_ON_4, "", id="empty-group"),
+    pytest.param(PAIRS_ON_4, "degree 4\n(1,2,3\n", id="unclosed-cycle"),
+    pytest.param(PAIRS_ON_4, "degree 4\n(0,1)\n", id="cycle-point-0"),
+    pytest.param("v 4\n0 1\n", None, id="block-point-0"),
+    pytest.param(PAIRS_ON_4, "degree 4\n(1,2)(2,3)\n", id="point-repeated-across-cycles"),
+    pytest.param("v 4\n1 1 2\n", None, id="point-repeated-in-block"),
+    pytest.param("v 4\n1 x\n", None, id="non-integer-block-entry"),
+    pytest.param(PAIRS_ON_4, "degree 5\n(1,2,3,4,5)\n", id="group-degree-is-not-v"),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, design_text, group_text):
+    """Each malformed design or group file exits 2 with an error message on
+    stderr, prints nothing on stdout and raises nothing."""
+    argv = ["verify", str(tmp_path / "in.dsg")]
+    (tmp_path / "in.dsg").write_text(design_text)
+    if group_text is not None:
+        argv.append(str(tmp_path / "in.grp"))
+        (tmp_path / "in.grp").write_text(group_text)
+    code, text = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR
+    assert text == ""
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_non_utf8_input_is_an_input_error(tmp_path, capsys):

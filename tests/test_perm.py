@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import itertools
 import math
 import os
 import random
@@ -185,6 +188,174 @@ def test_block_systems_requires_transitive():
         g.block_systems()
 
 
+def _reference_min_partition(group, alpha, beta):
+    """The finest congruence joining alpha and beta, by the pairwise union-find
+    that block systems were once built from."""
+    n = group.degree
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return None
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        return rb
+
+    queue = [union(alpha, beta)]
+    while queue:
+        gamma = queue.pop(0)
+        delta = find(gamma)
+        for g in group.generators:
+            absorbed = union(g(gamma), g(delta))
+            if absorbed is not None:
+                queue.append(absorbed)
+    groups = {}
+    for p in range(1, n + 1):
+        groups.setdefault(find(p), []).append(p)
+    return tuple(sorted(tuple(part) for part in groups.values()))
+
+
+def _reference_join(parts1, parts2):
+    """The finest partition coarser than both, by a second union-find."""
+    points = [p for part in parts1 for p in part]
+    parent = {p: p for p in points}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for parts in (parts1, parts2):
+        for part in parts:
+            for p in part[1:]:
+                a, b = find(part[0]), find(p)
+                parent[max(a, b)] = min(a, b)
+    groups = {}
+    for p in points:
+        groups.setdefault(find(p), []).append(p)
+    return tuple(sorted(tuple(sorted(part)) for part in groups.values()))
+
+
+def _reference_block_systems(group):
+    """The parts of every nontrivial invariant partition: the minimal ones
+    for {1, beta} closed under joins of all pairs until nothing changes,
+    sorted as `block_systems` sorts them."""
+    n = group.degree
+    found = set()
+    for beta in range(2, n + 1):
+        parts = _reference_min_partition(group, 1, beta)
+        if 1 < len(parts) < n:
+            found.add(parts)
+    changed = True
+    while changed:
+        changed = False
+        for p1, p2 in itertools.combinations(sorted(found), 2):
+            j = _reference_join(p1, p2)
+            if 1 < len(j) < n and j not in found:
+                found.add(j)
+                changed = True
+    return sorted(found, key=lambda parts: (len(parts[0]), parts))
+
+
+def _cyclic(n):
+    return PermGroup([Permutation([x % n + 1 for x in range(1, n + 1)])], degree=n)
+
+
+def _dihedral(n):
+    reflection = Permutation([1] + [n + 2 - x for x in range(2, n + 1)])
+    return PermGroup(_cyclic(n).generators + (reflection,))
+
+
+def _wreath(base, top):
+    """The imprimitive wreath product base wr top on base.degree * top.degree
+    points; copy j of the base acts on the points j*m + 1 .. j*m + m."""
+    m, t = base.degree, top.degree
+    gens = [Permutation([b(i) if j == 0 else j * m + i
+                         for j in range(t) for i in range(1, m + 1)])
+            for b in base.generators]
+    gens += [Permutation([(s(j + 1) - 1) * m + i for j in range(t) for i in range(1, m + 1)])
+             for s in top.generators]
+    return PermGroup(gens)
+
+
+def _divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_block_systems_match_pairwise_join_reference():
+    from ftdesigns.construct import coset_model_group
+
+    for n in range(2, 31):
+        systems = _cyclic(n).block_systems()
+        assert len(systems) == _divisor_count(n) - 2, n
+        assert [s.parts for s in systems] == _reference_block_systems(_cyclic(n)), n
+    c3xc3 = PermGroup([parse_cycles("(1,2,3)(4,5,6)(7,8,9)", 9),
+                       parse_cycles("(1,4,7)(2,5,8)(3,6,9)", 9)])
+    s2, s3 = _dihedral(2), _dihedral(3)
+    groups = [_dihedral(n) for n in range(3, 21)] + [
+        c3xc3,
+        _wreath(s2, s3), _wreath(_cyclic(3), _cyclic(2)), _wreath(_cyclic(2), _cyclic(4)),
+        _wreath(s3, s3), _wreath(_cyclic(4), _dihedral(3)), _wreath(s2, _wreath(s2, s2)),
+        _shipped("d36")[0], _shipped("pg3")[0], coset_model_group(),
+    ]
+    for g in groups:
+        assert [s.parts for s in g.block_systems()] == _reference_block_systems(g), g
+
+
+@functools.cache
+def _shipped(name):
+    """(group, block systems) of a shipped transitive group."""
+    from ftdesigns import construct
+
+    group = {"d36": construct.twisted_diagonal_group,
+             "pg3": construct.semilinear_group_15,
+             "h1": lambda: construct.block_regular_group_96("h1"),
+             "h2": lambda: construct.block_regular_group_96("h2")}[name]()
+    return group, group.block_systems()
+
+
+def test_block_systems_of_h1_and_h2_golden():
+    """sha256 of the sorted parts of every system, as the pairwise join
+    closure computed them."""
+    want = {
+        "h1": (111, "a52966cf034aecabf408a160be649e51fb4994e67f3511b87d32dbc7b4c5b6ba"),
+        "h2": (248, "315ac3b4056c0f3b1080d69572616cdd37ddc64ad3cdbe6accad889cb2fa9135"),
+    }
+    for name, (count, digest) in want.items():
+        parts = [s.parts for s in _shipped(name)[1]]
+        assert len(parts) == count
+        assert hashlib.sha256(repr(parts).encode()).hexdigest() == digest
+
+
+def test_minimal_block_systems_match_sympy():
+    """sympy's minimal block systems are the atoms of `block_systems`: the
+    systems whose part through 1 contains no other system's part through 1."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for name, atoms in (("d36", 2), ("pg3", 1), ("h1", 7), ("h2", 43)):
+        group, systems = _shipped(name)
+        firsts = [set(s.parts[0]) for s in systems]
+        ours = {s.parts for s, first in zip(systems, firsts)
+                if not any(other < first for other in firsts)}
+        sympy_group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation([x - 1 for x in g.images]) for g in group.generators])
+        theirs = set()
+        for reps in sympy_group.minimal_blocks(randomized=False):
+            parts = {}
+            for point, rep in enumerate(reps, start=1):
+                parts.setdefault(rep, []).append(point)
+            theirs.add(tuple(sorted(tuple(part) for part in parts.values())))
+        assert len(ours) == atoms, name
+        assert ours == theirs, name
+
+
 def test_products_and_inverses_match_validated():
     rng = random.Random(8)
     for _ in range(100):
@@ -299,8 +470,8 @@ def cyclic4():
 
 wrong_order, unequal, not_invariant = cyclic4(), cyclic4(), cyclic4()
 wrong_order.order = lambda: 7
-unequal._min_partition = lambda alpha, beta: ((1, 2, 3), (4,))
-not_invariant._min_partition = lambda alpha, beta: ((1, 2), (3, 4))
+unequal._min_partition = lambda seed: ((1, 2, 3), (4,))
+not_invariant._min_partition = lambda seed: ((1, 2), (3, 4))
 swap = Permutation([2, 1, 3, 4])
 misplaced = cyclic4()
 misplaced._sift_from = lambda i, h: swap  # every residue moves base point 1
