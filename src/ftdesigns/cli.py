@@ -293,21 +293,18 @@ def cmd_verify(args, out):
     d = design.parse_design_text(_read_text(args.design_file))
     params = _verify_design(report, d)
     if params is not None and args.group_file:
-        g = perm.parse_group_text(_read_text(args.group_file))
-        if g.degree != d.v:
-            raise InputError(
-                "group degree %d does not match v=%d" % (g.degree, d.v)
-            )
+        g = perm.parse_group_text(_read_text(args.group_file), degree=d.v)
         bad = [i for i, gen in enumerate(g.generators)
                if not design.is_automorphism(d, gen)]
         if report.add("generators-are-automorphisms", [], bad, "derived"):
             report.add("group-order", g.order(), g.order(), "derived",
                        informational=True)
-            report.add("point-transitive", True, g.is_transitive(), "derived")
+            transitive = g.is_transitive()
+            report.add("point-transitive", True, transitive, "derived")
             ft, orbits = design.is_flag_transitive(g, d)
             report.add("flag-orbits", 1, orbits, "derived")
             report.add("flag-transitive", True, ft, "derived")
-            if g.is_transitive():
+            if transitive:
                 systems = g.block_systems()
                 report.add("block-systems", len(systems), len(systems),
                            "derived", informational=True)

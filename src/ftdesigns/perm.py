@@ -475,66 +475,55 @@ class PermGroup:
         n = self.degree
         parent = list(range(n + 1))
         tables = [(0,) + g.images for g in self.generators]
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return None
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            return rb
-
-        queue = deque()
+        root = seed[0]
+        absorbed = []  # each point whose root status ended, in merge order
         for p in seed[1:]:
-            absorbed = union(seed[0], p)
-            if absorbed is not None:
-                queue.append(absorbed)
-        while queue:
-            gamma = queue.popleft()
-            delta = find(gamma)
+            if p != root and parent[p] == p:
+                parent[p] = root
+                absorbed.append(p)
+        for gamma in absorbed:  # grows while the loop runs
+            delta = parent[gamma]
+            while parent[delta] != delta:
+                parent[delta] = delta = parent[parent[delta]]
             for img in tables:
-                absorbed = union(img[gamma], img[delta])
-                if absorbed is not None:
-                    queue.append(absorbed)
+                a, b = img[gamma], img[delta]
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    parent[b] = a
+                    absorbed.append(b)
         groups = {}
         for p in range(1, n + 1):
-            groups.setdefault(find(p), []).append(p)
+            r = p
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            groups.setdefault(r, []).append(p)
         return tuple(sorted(tuple(part) for part in groups.values()))
 
     def block_systems(self):
         """All nontrivial invariant partitions.  Sorted by part size, then
         lexicographically by first part.  Requires a transitive group.
 
-        Every block through point 1 is the join of the minimal blocks
-        Min(1, beta) it contains (Atkinson, *An algorithm for finding the
-        blocks of a permutation group*, Math. Comp. 29, 1975), so a worklist
-        reaches them all: each found partition's part through 1 is joined,
-        by one seeded ``_min_partition``, with every minimal part through 1
-        it does not already contain."""
+        Every block through point 1 is a join of the minimal blocks
+        Min(1, beta) (Atkinson, *An algorithm for finding the blocks of a
+        permutation group*, Math. Comp. 29, 1975).  The smallest block
+        holding a block B and a point beta is a union of parts of B's
+        system, so it depends only on beta's part: a worklist from the
+        discrete partition joins each found part through 1 with one point
+        of every other part, by one seeded ``_min_partition``."""
         if not self.is_transitive():
             raise GroupError("block systems require a transitive group")
         n = self.degree
-        minimal = set()
-        for beta in range(2, n + 1):
-            parts = self._min_partition((1, beta))
-            if 1 < len(parts) < n:
-                minimal.add(parts)
-        found = set(minimal)
-        worklist = list(minimal)
+        found = set()
+        worklist = [tuple((p,) for p in range(1, n + 1))]
         while worklist:
-            block = worklist.pop()[0]  # parts are sorted, so parts[0] holds 1
-            members = set(block)
-            for m in minimal:
-                if members.issuperset(m[0]):
-                    continue
-                parts = self._min_partition(block + m[0])
+            block, *others = worklist.pop()  # parts are sorted, so parts[0] holds 1
+            for other in others:
+                parts = self._min_partition(block + other[:1])
                 if 1 < len(parts) and parts not in found:
                     found.add(parts)
                     worklist.append(parts)
@@ -561,22 +550,26 @@ class PermGroup:
 # -- group files -----------------------------------------------------------
 
 
-def parse_group_text(text):
+def parse_group_text(text, degree=None):
     """Read the group file format: line 1 exactly ``degree <n>`` with n >= 1,
-    then one generator per non-empty, non-# line in disjoint-cycle notation."""
+    then one generator per non-empty, non-# line in disjoint-cycle notation.
+    If ``degree`` is given, a header with another n raises GroupError before
+    any generator is built."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "degree" or not header[1].isdecimal():
         raise GroupError("group file must start with a 'degree <n>' line")
     try:
-        degree = int(header[1])
+        n = int(header[1])
     except ValueError:  # more digits than int() converts
         raise GroupError("bad header line: %r" % lines[0]) from None
-    if degree < 1:
+    if n < 1:
         raise GroupError("group degree must be positive")
-    gens = [parse_cycles(ln, degree) for ln in lines[1:]]
-    return PermGroup(gens, degree=degree)
+    if degree is not None and n != degree:
+        raise GroupError("group degree %d does not match %d" % (n, degree))
+    gens = [parse_cycles(ln, n) for ln in lines[1:]]
+    return PermGroup(gens, degree=n)
 
 
 def format_group_text(group):

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,11 @@ def test_verify_parse_error(tmp_path):
 # the complete 2-(4,2,1) design, so that `verify` goes on to read the group
 PAIRS_ON_4 = "v 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 C4 = "degree 4\n(1,2,3,4)\n"
+HUGE_GROUP = "degree 10000000000\n(1,2,3,4)\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
 
 @pytest.mark.parametrize("design_text, group_text", [
@@ -192,6 +198,7 @@ C4 = "degree 4\n(1,2,3,4)\n"
     pytest.param("v 4\n1 1 2\n", None, id="point-repeated-in-block"),
     pytest.param("v 4\n1 x\n", None, id="non-integer-block-entry"),
     pytest.param(PAIRS_ON_4, "degree 5\n(1,2,3,4,5)\n", id="group-degree-is-not-v"),
+    pytest.param(PAIRS_ON_4, HUGE_GROUP, id="group-degree-too-large-to-build"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, design_text, group_text):
     """Each malformed design or group file exits 2 with an error message on
@@ -201,8 +208,16 @@ def test_malformed_input_exits_2(tmp_path, capsys, design_text, group_text):
     if group_text is not None:
         argv.append(str(tmp_path / "in.grp"))
         (tmp_path / "in.grp").write_text(group_text)
-    code, text = run_cli(argv)
-    err = capsys.readouterr().err
+    if group_text == HUGE_GROUP:
+        # a generator of this degree needs about 80 GB, so the run gets
+        # 400 MB of address space: building one fails at once
+        proc = subprocess.run([sys.executable, "-m", "ftdesigns"] + argv, env=SRC_ENV,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=_limit_address_space)
+        code, text, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, text = run_cli(argv)
+        err = capsys.readouterr().err
     assert code == cli.EXIT_INPUT_ERROR
     assert text == ""
     assert "error: " in err and "Traceback" not in err

@@ -188,9 +188,9 @@ def test_block_systems_requires_transitive():
         g.block_systems()
 
 
-def _reference_min_partition(group, alpha, beta):
-    """The finest congruence joining alpha and beta, by the pairwise union-find
-    that block systems were once built from."""
+def _reference_min_partition(group, seed):
+    """The finest congruence with every point of seed in one part, by the
+    pairwise union-find that block systems were once built from."""
     n = group.degree
     parent = list(range(n + 1))
 
@@ -209,7 +209,8 @@ def _reference_min_partition(group, alpha, beta):
         parent[rb] = ra
         return rb
 
-    queue = [union(alpha, beta)]
+    queue = [union(seed[0], p) for p in seed[1:]]
+    queue = [gamma for gamma in queue if gamma is not None]
     while queue:
         gamma = queue.pop(0)
         delta = find(gamma)
@@ -251,7 +252,7 @@ def _reference_block_systems(group):
     n = group.degree
     found = set()
     for beta in range(2, n + 1):
-        parts = _reference_min_partition(group, 1, beta)
+        parts = _reference_min_partition(group, (1, beta))
         if 1 < len(parts) < n:
             found.add(parts)
     changed = True
@@ -333,6 +334,37 @@ def test_block_systems_of_h1_and_h2_golden():
         parts = [s.parts for s in _shipped(name)[1]]
         assert len(parts) == count
         assert hashlib.sha256(repr(parts).encode()).hexdigest() == digest
+
+
+def test_min_partition_matches_reference():
+    """The inlined union-find roots the seed at seed[0]; the reference merges
+    each seed point in turn, so repeated points and a seed[0] that is not the
+    smallest are part of the comparison."""
+    from ftdesigns.construct import coset_model_group
+
+    rng = random.Random(20)
+    for group in (_shipped("h1")[0], _shipped("h2")[0], coset_model_group()):
+        points = range(1, group.degree + 1)
+        seeds = [tuple(rng.sample(points, rng.randint(2, 10))) for _ in range(40)]
+        seeds += [(p, q, p) for p, q in zip(rng.sample(points, 5), rng.sample(points, 5))]
+        seeds += [(group.degree, 1), (group.degree, 2, 2, group.degree - 1), (5, 5)]
+        for seed in seeds:
+            assert group._min_partition(seed) == _reference_min_partition(group, seed), seed
+
+
+def test_block_systems_call_count():
+    """The worklist joins each found part through 1 with one point of every
+    other part: (n - 1) calls from the discrete partition, then
+    num_parts - 1 for each system found."""
+    from ftdesigns import construct
+
+    for name, want in (("h1", 1521), ("h2", 4704)):
+        group = construct.block_regular_group_96(name)
+        calls = []
+        min_partition = group._min_partition
+        group._min_partition = lambda seed: calls.append(seed) or min_partition(seed)
+        systems = group.block_systems()
+        assert len(calls) == want == group.degree - 1 + sum(s.num_parts - 1 for s in systems)
 
 
 def test_minimal_block_systems_match_sympy():
@@ -446,6 +478,9 @@ def test_group_file_errors():
         parse_group_text("degree x\n")
     with pytest.raises(CycleParseError):
         parse_group_text("degree 4\n(1,9)\n")
+    with pytest.raises(GroupError, match="group degree 5 does not match 4"):
+        parse_group_text("degree 5\n(1,9)\n", degree=4)
+    assert parse_group_text("degree 4\n(1,2,3,4)\n", degree=4).order() == 4
 
 
 def test_perm_and_design_checks_survive_python_O():
