@@ -477,15 +477,7 @@ def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
     for orbit in orbits:
         if len(orbit) != 90:
             continue
-        blocks = []
-        for mask in orbit:
-            blk = []
-            m = mask
-            while m:
-                low = m & -m
-                blk.append(low.bit_length())
-                m ^= low
-            blocks.append(tuple(blk))
+        blocks = [tuple(p + 1 for p in range(36) if mask >> p & 1) for mask in orbit]
         d = Design(36, blocks)
         try:
             params = check_2_design(d)

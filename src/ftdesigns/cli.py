@@ -3,7 +3,7 @@
 Subcommands: ``feasible``, ``construct``, ``verify``, ``aut``, ``census36``,
 ``bounds``.  Global flags: ``--format {text,csv,json}``, ``--strict`` /
 ``--no-strict`` (mismatches against reference values fail vs warn),
-``--node-cap N`` for the automorphism search.
+``--node-cap N`` (N >= 1) for the automorphism search.
 
 ``--format`` applies to every command that prints a report; ``construct``
 always writes a design file.
@@ -415,6 +415,17 @@ def cmd_bounds(args, out):
 # -- entry point --------------------------------------------------------------------
 
 
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % n)
+    return n
+
+
 def _global_options(parser, suppress):
     """The global flags; subcommand copies use SUPPRESS defaults so values
     parsed before the subcommand survive."""
@@ -424,7 +435,7 @@ def _global_options(parser, suppress):
     parser.add_argument("--strict", action=argparse.BooleanOptionalAction,
                         default=default(True),
                         help="fail (vs warn) on mismatches against reference values")
-    parser.add_argument("--node-cap", type=int,
+    parser.add_argument("--node-cap", type=_positive_int,
                         default=default(autgrp.DEFAULT_NODE_CAP),
                         help="node limit for the automorphism search")
     return parser

@@ -189,17 +189,9 @@ class FrobeniusModel:
             parse_cycles("(%d,%d)" % (z3, z4), 6),
             parse_cycles("(%d,%d)(%d,%d)" % (z1, z3, z2, z4), 6),
         ]
-        helements = {Permutation.identity(6)}
-        frontier = list(hgens6)
-        while frontier:
-            h = frontier.pop()
-            if h in helements:
-                continue
-            helements.add(h)
-            for g in hgens6:
-                frontier.append(h * g)
-        if len(helements) != 8:
-            raise AssertionError("stabilizer has order %d, not 8" % len(helements))
+        h6 = PermGroup(hgens6)
+        if h6.order() != 8:
+            raise AssertionError("stabilizer has order %d, not 8" % h6.order())
         h36 = PermGroup([self.induced(g) for g in hgens6])
         zset = {z1, z2, z3, z4}
         p24 = frozenset(
@@ -207,16 +199,9 @@ class FrobeniusModel:
         )
         if len(p24) != 24:
             raise AssertionError("%d points fix a letter of the bisection, not 24" % len(p24))
-        seen = set()
-        orbits = []
-        for pt in sorted(p24):
-            if pt in seen:
-                continue
-            orb = frozenset(h36.orbit(pt))
-            if not orb <= p24:
-                raise AssertionError("stabilizer orbit leaves the 24 points")
-            orbits.append(orb)
-            seen |= orb
+        orbits = [frozenset(o) for o in h36.orbits() if o[0] in p24]
+        if frozenset().union(*orbits) != p24:
+            raise AssertionError("stabilizer orbit leaves the 24 points")
         if sorted(len(o) for o in orbits) != [8, 8, 8]:
             raise AssertionError(
                 "stabilizer orbit sizes %s, not [8, 8, 8]" % sorted(len(o) for o in orbits)
@@ -224,7 +209,7 @@ class FrobeniusModel:
         normalizer = [
             self.induced(g)
             for g in self.s6
-            if all(g.inverse() * h * g in helements for h in hgens6)
+            if all(h6.contains(g.inverse() * h * g) for h in hgens6)
         ]
         moved, invariant = [], []
         for orb in orbits:

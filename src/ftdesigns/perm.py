@@ -1,9 +1,9 @@
 """Exact permutation groups on {1..n}.
 
 Permutations are stored as image tables over 1-based points.  Groups carry a
-base and strong generating set built by a deterministic Schreier-Sims pass
-(base points are the successive smallest moved points) and grown in place by
-``PermGroup.extend``.  This gives exact orders, membership tests, orbits,
+base and strong generating set built and grown only by ``PermGroup.extend``
+(incremental Schreier-Sims; new base points are the smallest points moved by
+each new residue).  This gives exact orders, membership tests, orbits,
 setwise stabilizers and invariant partitions at the degrees used in this
 package.  All orders are plain Python integers, so nothing overflows.
 """
@@ -237,9 +237,10 @@ class _Level:
 class PermGroup:
     """Permutation group from generators, with a base and strong generating set.
 
-    Construction is deterministic: given the same generators in the same
-    order, the base, strong generators and transversals are identical, and
-    so they are after the same sequence of ``extend`` calls.
+    The chain is built and grown only by ``extend``, one generator at a
+    time; ``generators`` keeps the input tuple, members included.  The same
+    generators in the same order give the same base, strong generators and
+    transversals.
     """
 
     def __init__(self, generators, degree=None):
@@ -248,19 +249,13 @@ class PermGroup:
             if not generators:
                 raise GroupError("empty generator list needs an explicit degree")
             degree = generators[0].degree
-        for g in generators:
-            if g.degree != degree:
-                raise GroupError(
-                    "generator degree %d does not match %d" % (g.degree, degree)
-                )
         self.degree = degree
-        self.generators = generators
+        self.generators = ()
         self._levels = []
         self._serial = 0
         for g in generators:
-            self._place_gen(g)
-        for i in range(len(self._levels) - 1, -1, -1):
-            self._complete_level(i)
+            self.extend(g)
+        self.generators = generators
 
     # -- Schreier-Sims construction ------------------------------------
     #
@@ -272,9 +267,8 @@ class PermGroup:
 
     def _place_gen(self, h):
         """Store a nonidentity strong generator at the level whose base
-        prefix it fixes, creating a new level when it fixes all bases."""
-        if h.is_identity():
-            return None
+        prefix it fixes, creating a new level, based at the smallest point
+        h moves, when it fixes all bases."""
         i = 0
         while i < len(self._levels) and h(self._levels[i].point) == self._levels[i].point:
             i += 1
@@ -336,7 +330,7 @@ class PermGroup:
                     if residue.is_identity():
                         continue
                     j = self._place_gen(residue)
-                    if j is None or j <= i:
+                    if j <= i:
                         raise AssertionError("Schreier residue placed at level %r, not below %d"
                                              % (j, i))
                     for k in range(len(self._levels) - 1, i, -1):
@@ -444,8 +438,7 @@ class PermGroup:
                 raise ValueError("point %d out of range 1..%d" % (p, self.degree))
         transversal = {start: self.identity()}
         orbit_list = [start]
-        stab_gens = []
-        seen_gens = set()
+        stab = PermGroup((), degree=self.degree)
         qi = 0
         while qi < len(orbit_list):
             t = orbit_list[qi]
@@ -457,11 +450,7 @@ class PermGroup:
                     transversal[img] = ut * g
                     orbit_list.append(img)
                 else:
-                    sg = ut * g * transversal[img].inverse()
-                    if not sg.is_identity() and sg.images not in seen_gens:
-                        seen_gens.add(sg.images)
-                        stab_gens.append(sg)
-        stab = PermGroup(stab_gens, degree=self.degree)
+                    stab.extend(ut * g * transversal[img].inverse())
         if len(orbit_list) * stab.order() != self.order():
             raise AssertionError("orbit-stabilizer identity fails: %d * %d != %d"
                                  % (len(orbit_list), stab.order(), self.order()))

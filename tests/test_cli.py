@@ -265,6 +265,22 @@ def test_aut_node_cap(tmp_path):
     assert code == cli.EXIT_RESOURCE_CAP
 
 
+@pytest.mark.parametrize("argv", [
+    ["aut", "{design}", "--node-cap", "-5"],
+    ["aut", "{design}", "--node-cap", "0"],
+    ["--node-cap", "0", "aut", "{design}"],
+    ["census36", "--node-cap", "0"],
+    ["census36", "--node-cap", "-1"],
+])
+def test_node_cap_below_1_is_an_input_error(tmp_path, capsys, argv):
+    dpath = tmp_path / "d36.dsg"
+    dpath.write_text(format_design_text(construction_36()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(design=dpath) for arg in argv], out=io.StringIO())
+    assert exc.value.code == cli.EXIT_INPUT_ERROR
+    assert "argument --node-cap: must be at least 1" in capsys.readouterr().err
+
+
 def test_bounds():
     code, text = run_cli(["bounds", "2", "4", "--format", "json"])
     assert code == 0

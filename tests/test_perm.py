@@ -160,6 +160,41 @@ def test_set_orbit_and_stabilizer():
         assert len(orbit) * stab.order() == g.order()
 
 
+def _closure(generators):
+    """Every element of the group generated, by breadth-first products."""
+    elements = {Permutation.identity(generators[0].degree)}
+    frontier = list(elements)
+    while frontier:
+        h = frontier.pop()
+        for g in generators:
+            hg = h * g
+            if hg not in elements:
+                elements.add(hg)
+                frontier.append(hg)
+    return elements
+
+
+def test_set_stabilizer_matches_brute_force():
+    from ftdesigns.construct import CONSTRUCTION_36_BASE_BLOCK, twisted_diagonal_group
+
+    rng = random.Random(17)
+    for g in (S6(), twisted_diagonal_group()):
+        elements = _closure(g.generators)
+        assert len(elements) == g.order() == 720
+        sets = [frozenset(rng.sample(range(1, g.degree + 1), rng.randint(1, g.degree - 1)))
+                for _ in range(6)]
+        if g.degree == 36:
+            sets.append(CONSTRUCTION_36_BASE_BLOCK)  # stabilizer of order 720 / 90 = 8
+        for s in sets:
+            _, stab = g.orbit_of_set(s)
+            fixing = [h for h in elements if h.image_of_set(s) == s]
+            assert stab.order() == len(fixing)
+            assert all(stab.contains(h) for h in fixing)
+            assert all(h.image_of_set(s) == s for h in stab.generators)
+            if s == CONSTRUCTION_36_BASE_BLOCK:
+                assert stab.order() == 8
+
+
 def test_block_systems_small():
     c5 = PermGroup([parse_cycles("(1,2,3,4,5)", 5)])
     assert c5.block_systems() == []
@@ -421,6 +456,22 @@ def test_extend():
     assert grown.order() == math.factorial(8)
     for _, orbit, transversal in grown.basic_orbits:
         assert set(transversal) == set(orbit)
+
+
+@pytest.mark.parametrize("cycles", [
+    ["(1,2,3,4,5,6)", "()"],  # the identity
+    ["(1,2)", "(1,2,3,4,5,6)", "(1,2)"],  # a repeated generator
+    ["(1,2)", "(2,3)", "(1,3,2)"],  # (1,2) * (2,3)
+    ["(1,2,3)", "(1,3,2)", "(4,5)", "(1,2,3)(4,5)"],  # an inverse, then a product
+])
+def test_generators_are_the_input_tuple(cycles):
+    gens = tuple(parse_cycles(c, 6) for c in cycles)
+    g = PermGroup(gens)
+    assert g.generators == gens
+    assert parse_group_text(format_group_text(g)).generators == gens
+    for member in (gens[-1], gens[0] * gens[-1], Permutation.identity(6)):
+        assert not g.extend(member)
+        assert g.generators == gens
 
 
 def test_orders_match_sympy():
