@@ -41,6 +41,7 @@ from .design import (
     GeneratorNotAutomorphism,
     IntersectionProfile,
     NotTwoDesignError,
+    PointCapExceeded,
     check_2_design,
     flag_orbit_count,
     flags,
@@ -91,6 +92,7 @@ __all__ = [
     "NotTwoDesignError",
     "PermGroup",
     "Permutation",
+    "PointCapExceeded",
     "ResourceCapExceeded",
     "are_isomorphic",
     "automorphism_group",

@@ -39,8 +39,9 @@ from itertools import combinations, product
 from typing import Optional
 
 from .construct import twisted_diagonal_group
-from .design import Design, DesignError, NotTwoDesignError, check_2_design, is_automorphism
-from .perm import PermGroup, Permutation
+from .design import (Design, DesignError, NotTwoDesignError, check_2_design,
+                     check_point_cap, is_automorphism)
+from .perm import PermGroup, Permutation, orbits_on
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -324,6 +325,7 @@ def _common_depth(prefix_a, prefix_b):
 def _run_search(design: Design, node_cap=DEFAULT_NODE_CAP) -> _Search:
     if design.b == 0:
         raise DesignError("design has no blocks")
+    check_point_cap(design)
     return _Search(design, node_cap).run()
 
 
@@ -424,40 +426,21 @@ def _qualifying_masks(rows, cols):
     return out
 
 
+def _mask_image(table, mask):
+    """The image of a 0-based point bitmask under a point table."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _mask_orbits(masks, gens):
-    """Partition subset bitmasks into orbits under degree-36 generators."""
-    tables = []
-    for g in gens:
-        tables.append([g(p + 1) - 1 for p in range(36)])
-
-    def image(mask, table):
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << table[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    maskset = set(masks)
-    unseen = set(masks)
-    orbits = []
-    while unseen:
-        seed = min(unseen)
-        orbit = {seed}
-        queue = [seed]
-        while queue:
-            m = queue.pop()
-            for table in tables:
-                img = image(m, table)
-                if img not in maskset:
-                    raise AssertionError("orbit left the qualifying family")
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        orbits.append(sorted(orbit))
-        unseen -= orbit
-    return orbits
+    """Partition subset bitmasks into orbits under degree-36 generators;
+    raises AssertionError if an orbit leaves the family."""
+    tables = [[g(p + 1) - 1 for p in range(36)] for g in gens]
+    return orbits_on(masks, tables, _mask_image)
 
 
 def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:

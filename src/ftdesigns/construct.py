@@ -13,6 +13,12 @@
   5-subgroup, and conjugation carries normalizers as it carries their
   Sylow subgroups, so a point is named by its Sylow subgroup's smallest
   generating 5-cycle and Sym(6) acts by relabeling that cycle's letters.
+  The normalizer of each dihedral stabilizer H (of a letter pair {x, x'} and
+  a bisection of the other four letters) is H x <(x,x')>: it permutes H's
+  support, so it fixes {x, x'} setwise, and H is a self-normalizing Sylow
+  2-subgroup of the symmetric group on its four letters.  So H's three
+  generators and (x,x') generate it; they are checked to normalize H and to
+  generate a group of order 16.
 - ``projective_design``: the classical symmetric 2-(2^(n+1)-1, 2^n, 2^(n-1))
   design on the nonzero vectors of a binary space, blocks the complements
   of the hyperplanes.  ``semilinear_group_15`` gives its point-imprimitive
@@ -30,7 +36,7 @@ from importlib import resources
 from itertools import combinations, permutations
 
 from .design import Design, NotTwoDesignError, check_2_design
-from .perm import PermGroup, Permutation, parse_cycles, parse_group_text
+from .perm import PermGroup, Permutation, closure, orbits_on, parse_cycles, parse_group_text
 
 # sha256 of the shipped generator files, pinned against silent edits
 _DATA_CHECKSUMS = {
@@ -96,10 +102,10 @@ CONSTRUCTION_36_BASE_BLOCK = frozenset(
 def orbit_design(group: PermGroup, base_block) -> Design:
     """The design whose blocks are the orbit of base_block under group."""
     base_block = frozenset(base_block)
-    if not base_block:
-        raise ValueError("base block must be nonempty")
-    orbit, _ = group.orbit_of_set(base_block)
-    return Design(group.degree, orbit)
+    if not base_block or not base_block <= frozenset(range(1, group.degree + 1)):
+        raise ValueError("base block must be a nonempty subset of 1..%d" % group.degree)
+    return Design(group.degree, closure([base_block], group.generators,
+                                        Permutation.image_of_set))
 
 
 @lru_cache(maxsize=None)
@@ -113,10 +119,6 @@ def construction_36() -> Design:
 
 
 # -- coset model on the 36 Frobenius subgroups ------------------------------
-
-
-def _s6_elements():
-    return [Permutation(images) for images in permutations(range(1, 7))]
 
 
 def _sylow_name(cycle):
@@ -143,7 +145,6 @@ class FrobeniusModel:
     by the coset construction."""
 
     def __init__(self):
-        self.s6 = _s6_elements()
         self.points = sorted({_sylow_name(c) for c in permutations(range(1, 7), 5)})
         if len(self.points) != 36:
             raise AssertionError("expected 36 Sylow 5-subgroups, found %d" % len(self.points))
@@ -192,28 +193,30 @@ class FrobeniusModel:
         h6 = PermGroup(hgens6)
         if h6.order() != 8:
             raise AssertionError("stabilizer has order %d, not 8" % h6.order())
-        h36 = PermGroup([self.induced(g) for g in hgens6])
+        # the normalizer N(H) = H x <(x,x')>, by the module docstring
+        swap = parse_cycles("(%d,%d)" % (x, xp), 6)
+        ngens6 = hgens6 + [swap]
+        if not all(h6.contains(g.inverse() * h * g) for g in ngens6 for h in hgens6):
+            raise AssertionError("the normalizer generators do not normalize the stabilizer")
+        if PermGroup(ngens6).order() != 16:
+            raise AssertionError("the normalizer generators do not give order 16")
+        hgens36 = [self.induced(g) for g in hgens6]
+        ngens36 = hgens36 + [self.induced(swap)]
         zset = {z1, z2, z3, z4}
         p24 = frozenset(
             pt for pt in range(1, 37) if self.fixed_letter[pt] in zset
         )
         if len(p24) != 24:
             raise AssertionError("%d points fix a letter of the bisection, not 24" % len(p24))
-        orbits = [frozenset(o) for o in h36.orbits() if o[0] in p24]
-        if frozenset().union(*orbits) != p24:
-            raise AssertionError("stabilizer orbit leaves the 24 points")
+        # raises AssertionError if a stabilizer orbit leaves the 24 points
+        orbits = [frozenset(o) for o in orbits_on(p24, hgens36)]
         if sorted(len(o) for o in orbits) != [8, 8, 8]:
             raise AssertionError(
                 "stabilizer orbit sizes %s, not [8, 8, 8]" % sorted(len(o) for o in orbits)
             )
-        normalizer = [
-            self.induced(g)
-            for g in self.s6
-            if all(h6.contains(g.inverse() * h * g) for h in hgens6)
-        ]
         moved, invariant = [], []
         for orb in orbits:
-            images = {g.image_of_set(orb) for g in normalizer}
+            images = set(closure([orb], ngens36, Permutation.image_of_set))
             if not images <= set(orbits):
                 raise AssertionError("the normalizer does not permute the orbits")
             (invariant if images == {orb} else moved).append(orb)
@@ -328,21 +331,14 @@ def semilinear_group_15() -> PermGroup:
 
 
 def gf4_line_partition():
-    """The 5 punctured 1-dimensional GF(4)-subspaces of the 15 points, as
-    sorted tuples; the unique nontrivial block system of the semilinear
-    group."""
-    seen = set()
-    parts = []
-    for vec in range(1, 16):
-        if vec in seen:
-            continue
-        a, b = vec >> 2, vec & 3
-        line = tuple(
-            sorted((_GF4_MUL[s][a] << 2) | _GF4_MUL[s][b] for s in (1, 2, 3))
-        )
-        parts.append(line)
-        seen.update(line)
-    return tuple(sorted(parts))
+    """The 5 punctured 1-dimensional GF(4)-subspaces of the 15 points (the
+    orbits of the nonzero scalars), as sorted tuples; the unique nontrivial
+    block system of the semilinear group."""
+
+    def scale(s, vec):
+        return (_GF4_MUL[s][vec >> 2] << 2) | _GF4_MUL[s][vec & 3]
+
+    return tuple(orbits_on(range(1, 16), [2], scale))  # w generates the scalars
 
 
 # -- the four 96-point designs ------------------------------------------------
@@ -429,7 +425,7 @@ def repair_h1_block1():
         if len(set(block)) != 20:
             report[candidate] = "rejected: duplicate point"
             continue
-        orbit, _ = group.orbit_of_set(block)
+        orbit = closure([frozenset(block)], group.generators, Permutation.image_of_set)
         if len(orbit) != 96:
             report[candidate] = "rejected: orbit size %d" % len(orbit)
             continue

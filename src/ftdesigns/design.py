@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .feasibility import FeasibleTuple, condition_failures
-from .perm import BlockSystem, PermGroup, Permutation
+from .perm import BlockSystem, PermGroup, Permutation, orbits_on
 
 
 class DesignError(ValueError):
@@ -33,6 +33,23 @@ class NotTwoDesignError(DesignError):
 
 class GeneratorNotAutomorphism(DesignError):
     """A group generator does not preserve the block set."""
+
+
+# The most points that check_2_design and the automorphism search accept.
+# Their point tables grow with v, and the pair check on a symmetric design
+# of 2,047 points takes about 1 s (pg 9, 1,023 points: 0.19 s) on a 2-core
+# Xeon, growing about fivefold each time v doubles.
+MAX_POINTS = 2048
+
+
+class PointCapExceeded(RuntimeError):
+    """A design has more points than MAX_POINTS."""
+
+
+def check_point_cap(d: Design):
+    if d.v > MAX_POINTS:
+        raise PointCapExceeded("design has %d points, above the cap MAX_POINTS = %d"
+                               % (d.v, MAX_POINTS))
 
 
 class Design:
@@ -128,7 +145,8 @@ def check_2_design(d: Design) -> DesignParameters:
     the derived (v, b, k, r, lambda) must satisfy r(k-1) = lambda(v-1),
     bk = vr, b >= v, r >= k and r^2 > lambda*v (the last three only bind for
     nontrivial designs with 2 < k < v).  Raises NotTwoDesignError naming the
-    first violated condition, with a witness.
+    first violated condition, with a witness, and PointCapExceeded when v
+    is above MAX_POINTS.
     """
     if d.b == 0:
         raise NotTwoDesignError("no-blocks")
@@ -143,6 +161,7 @@ def check_2_design(d: Design) -> DesignParameters:
     v = d.v
     if v < 2:
         raise NotTwoDesignError("fewer-than-two-points")
+    check_point_cap(d)
     rows = [0] * v  # rows[p - 1]: bitmask of the blocks containing point p
     for j, blk in enumerate(d.blocks):
         for p in blk:
@@ -212,17 +231,8 @@ def flag_orbit_count(g: PermGroup, d: Design) -> int:
             continue
         orbit, stab = g.orbit_of_set(block)
         unseen.difference_update(orbit)
-        in_block = set(block)
-        reps = set()
-        for point in block:
-            if point in reps:
-                continue
-            orb = stab.orbit(point)
-            if not in_block.issuperset(orb):
-                raise AssertionError("block stabilizer moves point %d out of its block"
-                                     % point)
-            reps.update(orb)
-            total += 1
+        # raises AssertionError if the stabilizer moves a point out of the block
+        total += len(orbits_on(block, stab.generators))
     return total
 
 

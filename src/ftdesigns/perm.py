@@ -6,6 +6,11 @@ base and strong generating set built and grown only by ``PermGroup.extend``
 each new residue).  This gives exact orders, membership tests, orbits,
 setwise stabilizers and invariant partitions at the degrees used in this
 package.  All orders are plain Python integers, so nothing overflows.
+
+Orbits of points, point sets or bitmasks come from one routine, ``closure``
+(Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, 4.1)
+with the action passed in, and ``orbits_on`` built on it; the stabilizer
+chain and ``orbit_of_set`` keep transversals, so they loop on their own.
 """
 
 from __future__ import annotations
@@ -402,25 +407,10 @@ class PermGroup:
         """The orbit of a point, as a sorted tuple."""
         if not 1 <= point <= self.degree:
             raise ValueError("point %d out of range 1..%d" % (point, self.degree))
-        seen = {point}
-        queue = deque([point])
-        while queue:
-            p = queue.popleft()
-            for g in self.generators:
-                q = g(p)
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return tuple(sorted(seen))
+        return tuple(sorted(closure((point,), self.generators)))
 
     def orbits(self):
-        left = set(range(1, self.degree + 1))
-        out = []
-        while left:
-            orb = self.orbit(min(left))
-            out.append(orb)
-            left.difference_update(orb)
-        return out
+        return orbits_on(range(1, self.degree + 1), self.generators)
 
     def is_transitive(self):
         return len(self.orbit(1)) == self.degree
@@ -534,6 +524,42 @@ class PermGroup:
             self.order(),
             len(self.generators),
         )
+
+
+# -- orbits ------------------------------------------------------------------
+
+
+def closure(seeds, gens, image=Permutation.__call__):
+    """Breadth-first closure of ``seeds`` under the action ``image(g, x)`` of
+    each g in ``gens``: the union of their orbits under the group that gens
+    generate, as a list in discovery order, seeds first.  The default action
+    is a Permutation on a point; ``Permutation.image_of_set`` acts on point
+    sets, and any other callable on any hashable items."""
+    out = list(dict.fromkeys(seeds))
+    seen = set(out)
+    for x in out:  # grows while the loop runs
+        for g in gens:
+            y = image(g, x)
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
+def orbits_on(items, gens, image=Permutation.__call__):
+    """The orbits on ``items`` of the group that ``gens`` generate, each a
+    sorted tuple, in order of their least element.  Raises AssertionError
+    if an orbit leaves ``items``."""
+    left = set(items)
+    out = []
+    for x in sorted(left):
+        if x in left:  # orbits are disjoint, so x's stays within ``left``
+            orbit = closure((x,), gens, image)
+            if not left.issuperset(orbit):
+                raise AssertionError("the orbit of %r leaves the items" % (x,))
+            left.difference_update(orbit)
+            out.append(tuple(sorted(orbit)))
+    return out
 
 
 # -- group files -----------------------------------------------------------

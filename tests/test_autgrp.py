@@ -119,6 +119,40 @@ def test_non_isomorphic_cases():
     assert iso and witness is not None
 
 
+def _incidence_graph(nx, d):
+    """Points and blocks as two colour classes, joined by incidence."""
+    g = nx.Graph()
+    g.add_nodes_from(range(1, d.v + 1), colour="point")
+    g.add_nodes_from((("block", j) for j in range(d.b)), colour="block")
+    g.add_edges_from((p, ("block", j)) for j, blk in enumerate(d.blocks) for p in blk)
+    return g
+
+
+def test_isomorphism_matches_networkx():
+    """``are_isomorphic`` agrees with networkx on two-coloured incidence
+    graphs, for relabelings and for independent designs with the same v
+    and the same number of blocks of each size."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    seen = []
+    for _ in range(120):
+        v = rng.randint(5, 8)  # at least 5 blocks of each size 2, 3 and 4
+        counts = {k: rng.randint(0, 3) for k in (2, 3, 4)}
+        counts[rng.choice((2, 3, 4))] += 1
+        pools = {k: list(combinations(range(1, v + 1), k)) for k in counts}
+
+        def sample():
+            return Design(v, [blk for k, c in counts.items() for blk in rng.sample(pools[k], c)])
+
+        d1 = sample()
+        d2 = _relabeled(d1, rng.random()) if rng.random() < 0.3 else sample()
+        expected = nx.is_isomorphic(_incidence_graph(nx, d1), _incidence_graph(nx, d2),
+                                    node_match=lambda a, b: a["colour"] == b["colour"])
+        assert are_isomorphic(d1, d2)[0] == expected
+        seen.append(expected)
+    assert 20 <= seen.count(True) and 20 <= seen.count(False)
+
+
 def test_h2_design_aut_order_and_tuple():
     _, d = design_96("h2", 2)
     result = automorphism_group(d)

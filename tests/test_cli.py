@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ftdesigns
-from ftdesigns import cli, design
+from ftdesigns import autgrp, cli, design
 from ftdesigns.construct import construction_36, projective_design
 from ftdesigns.design import format_design_text
 from ftdesigns.perm import Permutation, format_group_text
@@ -221,6 +221,51 @@ def test_malformed_input_exits_2(tmp_path, capsys, design_text, group_text):
     assert code == cli.EXIT_INPUT_ERROR
     assert text == ""
     assert "error: " in err and "Traceback" not in err
+
+
+HUGE_DESIGN = "v 10000000000\n1 2 3\n1 4 5\n2 4 6\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "aut"])
+def test_huge_design_hits_the_point_cap(tmp_path, command):
+    """A design header far above ``design.MAX_POINTS`` exits 3 with a
+    message naming the cap.  A table of v entries would need about 80 GB,
+    so the run gets 400 MB of address space: building one fails at once."""
+    path = tmp_path / "huge.dsg"
+    path.write_text(HUGE_DESIGN)
+    proc = subprocess.run([sys.executable, "-m", "ftdesigns", command, str(path)],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == cli.EXIT_RESOURCE_CAP
+    assert proc.stdout == ""
+    assert "cap MAX_POINTS = %d" % design.MAX_POINTS in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_point_cap_comes_after_the_no_blocks_checks(tmp_path, capsys):
+    path = tmp_path / "huge.dsg"
+    path.write_text("v 10000000000\n")
+    assert run_cli(["aut", str(path)])[0] == cli.EXIT_INPUT_ERROR
+    assert "design has no blocks" in capsys.readouterr().err
+    code, text = run_cli(["verify", str(path)])
+    assert code == cli.EXIT_CHECK_FAILURE and "no-blocks" in text
+
+
+def test_reference_mismatch_exits_1(monkeypatch):
+    """A failed reference check always exits 1; there is no flag to
+    forgive it."""
+    wrong = autgrp.CensusReport(qualifying_subsets=20250, orbit_count=42,
+                                orbit_sizes=(), size90_orbits=4, design_orbits=2,
+                                isomorphic=True)
+    monkeypatch.setattr(autgrp, "uniqueness_census_36", lambda node_cap: wrong)
+    code, text = run_cli(["census36"])
+    assert code == cli.EXIT_CHECK_FAILURE and "status: fail" in text
+    monkeypatch.setitem(cli.EXPECTED_TABLE_ROWS, 3, 11)
+    assert run_cli(["feasible", "--lambda", "3"])[0] == cli.EXIT_CHECK_FAILURE
+    for flag in ("--strict", "--no-strict"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([flag, "census36"])
+        assert exc.value.code == cli.EXIT_INPUT_ERROR
 
 
 def test_non_utf8_input_is_an_input_error(tmp_path, capsys):

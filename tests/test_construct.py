@@ -111,8 +111,8 @@ def _cyclic_closure(p):
 class _ReferenceFrobeniusModel(FrobeniusModel):
     """The coset model as first built: each point is an order-20 normalizer
     found by scanning Sym(6), sorted by its smallest 5-cycle, and Sym(6)
-    acts by conjugating all 20 of its elements.  ``triple_data`` is
-    inherited, so it runs on this point action."""
+    acts by conjugating all 20 of its elements.  ``triple_data`` takes the
+    normalizer of each stabilizer from a scan of all 720 elements."""
 
     def __init__(self):
         s6 = [Permutation(images) for images in permutations(range(1, 7))]
@@ -141,6 +141,39 @@ class _ReferenceFrobeniusModel(FrobeniusModel):
             self.index_of[_conjugate_subgroup(self.points[i], g)] for i in range(36)
         )
 
+    def triple_data(self, x, xp, bisection):
+        """``FrobeniusModel.triple_data`` with the normalizer of the
+        stabilizer found by scanning all of Sym(6)."""
+        (z1, z2), (z3, z4) = bisection
+        hgens6 = [
+            parse_cycles("(%d,%d)" % (z1, z2), 6),
+            parse_cycles("(%d,%d)" % (z3, z4), 6),
+            parse_cycles("(%d,%d)(%d,%d)" % (z1, z3, z2, z4), 6),
+        ]
+        h6 = PermGroup(hgens6)
+        assert h6.order() == 8
+        h36 = PermGroup([self.induced(g) for g in hgens6])
+        zset = {z1, z2, z3, z4}
+        p24 = frozenset(pt for pt in range(1, 37) if self.fixed_letter[pt] in zset)
+        assert len(p24) == 24
+        orbits = [frozenset(o) for o in h36.orbits() if o[0] in p24]
+        assert frozenset().union(*orbits) == p24
+        assert sorted(len(o) for o in orbits) == [8, 8, 8]
+        normalizer = [
+            self.induced(g)
+            for g in self.s6
+            if all(h6.contains(g.inverse() * h * g) for h in hgens6)
+        ]
+        assert len(normalizer) == 16
+        moved, invariant = [], []
+        for orb in orbits:
+            images = {g.image_of_set(orb) for g in normalizer}
+            assert images <= set(orbits)
+            (invariant if images == {orb} else moved).append(orb)
+        assert len(invariant) == 1 and len(moved) == 2
+        moved.sort(key=lambda o: tuple(sorted(o)))
+        return p24, orbits, moved, invariant[0]
+
 
 def test_coset_model_matches_brute_force_reference():
     model, ref = FrobeniusModel(), _ReferenceFrobeniusModel()
@@ -151,8 +184,8 @@ def test_coset_model_matches_brute_force_reference():
     for text in ("(1,2)", "(1,2,3,4,5,6)"):
         g = parse_cycles(text, 6)
         assert model.induced(g) == ref.induced(g)
-    first = model.triples()[0]
-    assert model.triple_data(*first) == ref.triple_data(*first)
+    for triple in model.triples():
+        assert model.triple_data(*triple) == ref.triple_data(*triple)
 
 
 def test_triple_data_rejects_bad_letters():
@@ -192,9 +225,17 @@ trivial = construct.FrobeniusModel()
 trivial.induced = lambda g: Permutation(range(1, 37))
 one_letter = construct.FrobeniusModel()
 one_letter.fixed_letter = dict.fromkeys(range(1, 37), 1)
+# a point fixing letter 3 trades its letter with one fixing letter 1: 24
+# points still fix a letter of the first bisection, but some orbit leaves them
+leaky = construct.FrobeniusModel()
+letters = leaky.fixed_letter = dict(leaky.fixed_letter)
+inside = min(pt for pt in letters if letters[pt] == 3)
+outside = min(pt for pt in letters if letters[pt] == 1)
+letters[inside], letters[outside] = 1, 3
 checks += [raises(trivial.group),
            raises(trivial.triple_data, *first),
-           raises(one_letter.triple_data, *first)]
+           raises(one_letter.triple_data, *first),
+           raises(leaky.triple_data, *first)]
 orbit_design = construct.orbit_design
 construct.orbit_design = lambda group, block: orbit_design(group, [1])
 checks += [raises(construct.construction_36),
@@ -205,7 +246,7 @@ print(*checks)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 7
+    assert proc.stdout.split() == ["True"] * 8
 
 
 def test_package_has_no_bare_asserts():
@@ -308,8 +349,24 @@ def test_orbit_design():
     d = orbit_design(s6, {1, 2, 3})
     assert d.b == 20
     assert check_2_design(d).as_tuple() == (6, 20, 3, 10, 4)
-    with pytest.raises(ValueError):
-        orbit_design(s6, set())
+    for bad in (set(), {0, 1}, {6, 7}):
+        with pytest.raises(ValueError):
+            orbit_design(s6, bad)
+
+
+def test_orbit_design_matches_set_orbit():
+    """The blocks of ``orbit_design`` are the orbit that ``orbit_of_set``
+    finds, for every built-in orbit design."""
+    model = FrobeniusModel()
+    cases = [(twisted_diagonal_group(), CONSTRUCTION_36_BASE_BLOCK),
+             (coset_model_group(), model.triple_data(*model.triples()[0])[2][0])]
+    cases += [(block_regular_group_96(gid), BASE_BLOCKS_96[(gid, bid)])
+              for gid in ("h1", "h2") for bid in (1, 2)]
+    for group, block in cases:
+        orbit, _ = group.orbit_of_set(block)
+        d = orbit_design(group, block)
+        assert d.block_set == frozenset(orbit) and d.b == len(orbit)
+    assert orbit_design(*cases[1]) == construction_36_cosets()
 
 
 def test_construct_by_name():

@@ -20,7 +20,9 @@ from ftdesigns.design import (
     Design,
     DesignError,
     GeneratorNotAutomorphism,
+    MAX_POINTS,
     NotTwoDesignError,
+    PointCapExceeded,
     check_2_design,
     flags,
     format_design_text,
@@ -104,6 +106,20 @@ def test_check_2_design_failures():
         with pytest.raises(NotTwoDesignError) as err:
             check_2_design(d)
         assert (err.value.condition, err.value.witness) == (condition, witness)
+
+
+def test_point_cap():
+    """Above MAX_POINTS the pair check and the automorphism search refuse a
+    design before building any table of v entries; at the cap both run."""
+    from ftdesigns.autgrp import automorphism_group
+
+    blocks = [(1, 2, 3), (1, 4, 5), (2, 4, 6)]
+    for fn in (check_2_design, automorphism_group):
+        with pytest.raises(PointCapExceeded, match="cap MAX_POINTS = %d" % MAX_POINTS):
+            fn(Design(MAX_POINTS + 1, blocks))
+    with pytest.raises(NotTwoDesignError, match="non-constant-pair-coverage"):
+        check_2_design(Design(MAX_POINTS, blocks))
+    assert check_2_design(projective_design(9)).v == 1023 < MAX_POINTS
 
 
 def test_check_2_design_without_numpy():

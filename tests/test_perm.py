@@ -15,8 +15,10 @@ from ftdesigns.perm import (
     GroupError,
     PermGroup,
     Permutation,
+    closure,
     format_cycles,
     format_group_text,
+    orbits_on,
     parse_cycles,
     parse_group_text,
 )
@@ -193,6 +195,59 @@ def test_set_stabilizer_matches_brute_force():
             assert all(h.image_of_set(s) == s for h in stab.generators)
             if s == CONSTRUCTION_36_BASE_BLOCK:
                 assert stab.order() == 8
+
+
+def _random_subgroup(rng, n):
+    """The group generated by one to three random permutations of 1..n."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        gens.append(Permutation(images))
+    return PermGroup(gens)
+
+
+def test_closure_and_orbits_on_match_brute_force():
+    """Orbits on points and on point sets equal the images under every
+    element of the group."""
+    from ftdesigns.construct import twisted_diagonal_group
+
+    rng = random.Random(23)
+    groups = [S6(), twisted_diagonal_group()]
+    groups += [_random_subgroup(rng, rng.randint(2, 7)) for _ in range(8)]
+    for g in groups:
+        elements = _closure(g.generators)
+        assert len(elements) == g.order()
+        n = g.degree
+        for x in range(1, n + 1):
+            assert set(closure([x], g.generators)) == {h(x) for h in elements}
+        brute = {tuple(sorted({h(x) for h in elements})) for x in range(1, n + 1)}
+        assert orbits_on(range(1, n + 1), g.generators) == sorted(brute)
+        assert g.orbits() == sorted(brute)
+        sets = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(4)]
+        for s in sets:
+            found = closure([s], g.generators, Permutation.image_of_set)
+            assert found[0] == s and len(found) == len(set(found))
+            assert set(found) == {h.image_of_set(s) for h in elements}
+        # the seeds' orbits merge: the closure of two seeds is their union
+        x, y = 1, n
+        both = {h(x) for h in elements} | {h(y) for h in elements}
+        assert set(closure([x, y], g.generators)) == both
+
+
+def test_orbits_on_order_and_items():
+    g = PermGroup([parse_cycles("(1,5)(2,3)", 6)])
+    assert orbits_on(range(1, 7), g.generators) == [(1, 5), (2, 3), (4,), (6,)]
+    assert orbits_on([5, 6, 1], g.generators) == [(1, 5), (6,)]
+    assert closure([], g.generators) == []
+    assert closure([4, 4], g.generators) == [4]
+    with pytest.raises(AssertionError, match="leaves"):
+        orbits_on([1, 2], g.generators)
+    # any action on any orderable items: negation on integers
+    negate = [None]
+    assert orbits_on([-2, -1, 1, 2], negate, lambda _, x: -x) == [(-2, 2), (-1, 1)]
+    with pytest.raises(AssertionError):
+        orbits_on([1, 2, -2], negate, lambda _, x: -x)
 
 
 def test_block_systems_small():
