@@ -37,7 +37,6 @@ from .design import (
     Design,
     DesignError,
     DesignParameters,
-    Flag,
     GeneratorNotAutomorphism,
     IntersectionProfile,
     NotTwoDesignError,
@@ -85,7 +84,6 @@ __all__ = [
     "DesignError",
     "DesignParameters",
     "FeasibleTuple",
-    "Flag",
     "GeneratorNotAutomorphism",
     "GroupError",
     "IntersectionProfile",

@@ -18,9 +18,11 @@ point/block incidence structure, in the style of canonical graph labeling:
   per node, and keeps two reference leaves: the first leaf (for
   automorphism discovery) and the best (trace, certificate) leaf, whose
   labeling defines the canonical form;
-- discovered automorphisms prune sibling subtrees (orbit pruning under the
-  subgroup fixing the individualized prefix), which is also how the full
-  automorphism group is generated;
+- each automorphism is stored once, keyed by its vertex image tuple; a
+  child is pruned when it lies in the closure (``perm.closure``) of the
+  explored siblings under the stored automorphisms fixing the
+  individualized prefix, and the stored automorphisms generate the full
+  automorphism group;
 - a leaf equivalent to the first or the best leaf gives an automorphism
   carrying the earlier leaf's path onto its own, so it maps the explored
   subtree below their common ancestor onto the rest of the current one:
@@ -35,13 +37,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from operator import getitem
 from typing import Optional
 
 from .construct import twisted_diagonal_group
 from .design import (Design, DesignError, NotTwoDesignError, check_2_design,
                      check_point_cap, is_automorphism)
-from .perm import PermGroup, Permutation, orbits_on
+from .perm import PermGroup, Permutation, closure, orbits_on
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -102,9 +105,7 @@ class _Search:
         self.nodes = 0
         self.first: Optional[_Leaf] = None
         self.best: Optional[_Leaf] = None
-        self.autos = []  # vertex-level image lists
-        self.auto_perms = []  # point-level Permutations
-        self._auto_seen = set()
+        self.autos = {}  # vertex image tuple -> point Permutation, in order found
 
     # -- initial invariant-based coloring --------------------------------
 
@@ -217,19 +218,18 @@ class _Search:
         return _Leaf(tokens, cert, order, prefix)
 
     def _record_auto(self, leaf_a, leaf_b):
-        n = self.v + self.b
-        gmap = [0] * n
-        for i in range(n):
-            gmap[leaf_a.order[i]] = leaf_b.order[i]
-        key = tuple(gmap)
-        if all(gmap[i] == i for i in range(n)) or key in self._auto_seen:
+        if leaf_a.order == leaf_b.order:  # the identity
             return
-        self._auto_seen.add(key)
-        perm = Permutation(gmap[p] + 1 for p in range(self.v))
+        gmap = [0] * (self.v + self.b)
+        for a, b in zip(leaf_a.order, leaf_b.order):
+            gmap[a] = b
+        key = tuple(gmap)
+        if key in self.autos:
+            return
+        perm = Permutation(u + 1 for u in key[: self.v])
         if not is_automorphism(self.design, perm):
             raise AssertionError("search produced a non-automorphism; invariant bug")
-        self.autos.append(gmap)
-        self.auto_perms.append(perm)
+        self.autos[key] = perm
 
     def _handle_leaf(self, leaf):
         """Compare a leaf with the first and best leaves; returns the depth
@@ -256,23 +256,6 @@ class _Search:
             jump = depth if jump is None else min(jump, depth)
         return jump
 
-    # -- pruning ----------------------------------------------------------
-
-    @staticmethod
-    def _skip_by_orbit(w, explored, gens):
-        closure = set(explored)
-        queue = list(explored)
-        while queue:
-            u = queue.pop()
-            for g in gens:
-                img = g[u]
-                if img == w:
-                    return True
-                if img not in closure:
-                    closure.add(img)
-                    queue.append(img)
-        return False
-
     # -- main recursion -----------------------------------------------------
 
     def run(self):
@@ -296,19 +279,25 @@ class _Search:
             return self._handle_leaf(self._leaf(cells, tokens, prefix))
         smallest = min(s for s in sizes if s > 1)
         ti = next(i for i, s in enumerate(sizes) if s == smallest)
-        explored, gens, seen = [], [], 0  # gens: found autos fixing prefix
+        # pruned: the explored children's closure under gens, the found
+        # automorphisms fixing the prefix (the first `seen` were checked)
+        pruned, gens, seen = set(), [], 0
         for w in sorted(cells[ti]):
-            if explored:
-                gens.extend(g for g in self.autos[seen:] if all(g[u] == u for u in prefix))
+            if len(self.autos) > seen:
+                new = [g for g in islice(self.autos, seen, None)
+                       if all(g[u] == u for u in prefix)]
                 seen = len(self.autos)
-                if gens and self._skip_by_orbit(w, explored, gens):
-                    continue
+                if new:
+                    gens += new
+                    pruned = set(closure(pruned, gens, getitem))
+            if w in pruned:
+                continue
             child = self._individualize(cells, ti, w)
             child, token = self._refine(child)
             jump = self._recurse(child, tokens + (token,), prefix + (w,))
             if jump is not None and jump < len(prefix):
                 return jump
-            explored.append(w)
+            pruned.update(closure((w,), gens, getitem))
         return None
 
 
@@ -361,7 +350,7 @@ def automorphism_group(design: Design, node_cap=DEFAULT_NODE_CAP) -> AutResult:
     group."""
     search = _run_search(design, node_cap)
     group = PermGroup((), degree=design.v)
-    for perm in search.auto_perms:
+    for perm in search.autos.values():
         group.extend(perm)
     return AutResult(group=group, order=group.order(), nodes_explored=search.nodes)
 

@@ -4,14 +4,15 @@ A ``Design`` is a point count v plus a list of distinct blocks (subsets of
 {1..v}).  Verification covers the 2-design axioms (constant block size,
 constant pair coverage), the standard counting identities and inequalities
 relating (v, b, k, r, lambda), flags and flag-transitivity of an acting
-group, and the constancy of block/part intersections against an invariant
+group (orbits on the (point, block index) flags, by ``perm.orbits_on``),
+and the constancy of block/part intersections against an invariant
 partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .feasibility import FeasibleTuple, condition_failures
 from .perm import BlockSystem, PermGroup, Permutation, orbits_on
@@ -124,11 +125,6 @@ class DesignParameters:
         return (self.v, self.b, self.k, self.r, self.lam)
 
 
-class Flag(NamedTuple):
-    point: int
-    block_index: int
-
-
 @dataclass(frozen=True)
 class IntersectionProfile:
     ell: int
@@ -201,9 +197,7 @@ def check_2_design(d: Design) -> DesignParameters:
 
 def flags(d: Design):
     """All incident (point, block index) pairs, ordered by block then point."""
-    return [
-        Flag(point, j) for j, blk in enumerate(d.blocks) for point in blk
-    ]
+    return [(point, j) for j, blk in enumerate(d.blocks) for point in blk]
 
 
 def is_automorphism(d: Design, p: Permutation) -> bool:
@@ -215,25 +209,28 @@ def is_automorphism(d: Design, p: Permutation) -> bool:
 def flag_orbit_count(g: PermGroup, d: Design) -> int:
     """Number of orbits of g on the flags of d.
 
-    Counts point orbits of the block stabilizer within each block orbit
-    instead of materializing the flag action.  Every generator must be an
-    automorphism of d.
+    Each generator acts on a flag (point, block index) by its point table
+    and its table of block indices.  Raises GeneratorNotAutomorphism for a
+    generator whose degree is not v or that does not preserve the block set.
     """
+    index = {frozenset(blk): j for j, blk in enumerate(d.blocks)}
+    tables = []
     for gen in g.generators:
-        if not is_automorphism(d, gen):
+        if gen.degree != d.v:
+            raise GeneratorNotAutomorphism(
+                "generator %r has degree %d, not v = %d" % (gen, gen.degree, d.v))
+        blocks = [index.get(gen.image_of_set(blk)) for blk in d.blocks]
+        if None in blocks:
             raise GeneratorNotAutomorphism(
                 "generator %r does not preserve the block set" % (gen,)
             )
-    unseen = set(d.block_set)
-    total = 0
-    for block in d.blocks:
-        if frozenset(block) not in unseen:
-            continue
-        orbit, stab = g.orbit_of_set(block)
-        unseen.difference_update(orbit)
-        # raises AssertionError if the stabilizer moves a point out of the block
-        total += len(orbits_on(block, stab.generators))
-    return total
+        tables.append(((0,) + gen.images, blocks))
+    return len(orbits_on(flags(d), tables, _flag_image))
+
+
+def _flag_image(tables, flag):
+    points, blocks = tables
+    return points[flag[0]], blocks[flag[1]]
 
 
 def is_flag_transitive(g: PermGroup, d: Design):

@@ -7,10 +7,11 @@ each new residue).  This gives exact orders, membership tests, orbits,
 setwise stabilizers and invariant partitions at the degrees used in this
 package.  All orders are plain Python integers, so nothing overflows.
 
-Orbits of points, point sets or bitmasks come from one routine, ``closure``
-(Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, 4.1)
-with the action passed in, and ``orbits_on`` built on it; the stabilizer
-chain and ``orbit_of_set`` keep transversals, so they loop on their own.
+Orbits of points, point sets, bitmasks, flags and search vertices come
+from one routine, ``closure`` (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005, 4.1) with the action passed in, and
+``orbits_on`` built on it; only ``_extend_orbit`` and ``orbit_of_set`` keep
+their own loops, because they build transversals as they go.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, point):
+        if point < 1:
+            raise ValueError("point %d is below 1" % point)
         return self.images[point - 1]
 
     def __mul__(self, other):
@@ -76,7 +79,10 @@ class Permutation:
         return None
 
     def image_of_set(self, points):
-        return frozenset(self.images[p - 1] for p in points)
+        if points and min(points) < 1:
+            raise ValueError("point %d is below 1" % min(points))
+        images = self.images
+        return frozenset([images[p - 1] for p in points])
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest point, sorted."""

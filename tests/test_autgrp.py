@@ -256,8 +256,10 @@ def test_refine_matches_reference(monkeypatch):
 
 class _ReferenceSearch(_Search):
     """The search before backjumping, with `_recurse` and `_handle_leaf`
-    kept verbatim (only `_leaf` now also takes the prefix) as the oracle:
-    backjumping must not change the best leaf or the group generated."""
+    kept verbatim (only `_leaf` now also takes the prefix, and the store of
+    automorphisms is read as a dict) as the oracle: backjumping and
+    pruning by `perm.closure` must not change the best leaf or the group
+    generated."""
 
     def _handle_leaf(self, leaf):
         if self.first is None:
@@ -294,14 +296,31 @@ class _ReferenceSearch(_Search):
         explored, gens, seen = [], [], 0  # gens: found autos fixing prefix
         for w in sorted(cells[ti]):
             if explored:
-                gens.extend(g for g in self.autos[seen:] if all(g[u] == u for u in prefix))
+                gens.extend(g for g in list(self.autos)[seen:] if all(g[u] == u for u in prefix))
                 seen = len(self.autos)
-                if gens and self._skip_by_orbit(w, explored, gens):
+                if gens and _reference_skip_by_orbit(w, explored, gens):
                     continue
             child = self._individualize(cells, ti, w)
             child, token = self._refine(child)
             self._recurse(child, tokens + (token,), prefix + (w,))
             explored.append(w)
+
+
+def _reference_skip_by_orbit(w, explored, gens):
+    """Whether w lies in the closure of the explored vertices under gens:
+    the search's own orbit loop before it took `perm.closure`."""
+    closure = set(explored)
+    queue = list(explored)
+    while queue:
+        u = queue.pop()
+        for g in gens:
+            img = g[u]
+            if img == w:
+                return True
+            if img not in closure:
+                closure.add(img)
+                queue.append(img)
+    return False
 
 
 def _rebuilt_group(perms, degree):
@@ -323,15 +342,32 @@ def test_search_matches_reference():
         assert (got.best.tokens, got.best.cert) == (ref.best.tokens, ref.best.cert)
         assert got.best.order == ref.best.order
         assert got.nodes <= ref.nodes
-        rebuilt = _rebuilt_group(ref.auto_perms, d.v)
+        rebuilt = _rebuilt_group(ref.autos.values(), d.v)
         result = automorphism_group(d)
         assert result.group.generators == rebuilt.generators
         assert result.order == rebuilt.order()
         grown = PermGroup((), degree=d.v)
-        for perm in ref.auto_perms:
+        for perm in ref.autos.values():
             grown.extend(perm)
         assert grown.generators == rebuilt.generators
         assert grown.order() == rebuilt.order()
+
+
+def test_search_stores_each_automorphism_once():
+    for d in _oracle_designs():
+        search = _Search(d, 10**7).run()
+        identity = tuple(range(d.v + d.b))
+        for key, perm in search.autos.items():
+            assert key != identity
+            assert sorted(key) == list(identity)
+            assert perm.images == tuple(u + 1 for u in key[:d.v])
+            assert is_automorphism(d, perm)
+        assert len(set(search.autos.values())) == len(search.autos)
+    search = _Search(projective_design(3), 10**7).run()
+    search.autos.clear()
+    search._record_auto(search.first, search.first)
+    search._record_auto(search.best, search.best)
+    assert search.autos == {}
 
 
 def test_pg5_automorphism_group():

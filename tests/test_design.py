@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 import ftdesigns
+from ftdesigns.autgrp import automorphism_group
 from ftdesigns.construct import (
     construction_36,
     grid_index,
@@ -24,6 +25,7 @@ from ftdesigns.design import (
     NotTwoDesignError,
     PointCapExceeded,
     check_2_design,
+    flag_orbit_count,
     flags,
     format_design_text,
     intersection_profile,
@@ -32,7 +34,7 @@ from ftdesigns.design import (
     parse_design_text,
     tuple_of,
 )
-from ftdesigns.perm import PermGroup, Permutation, parse_cycles
+from ftdesigns.perm import PermGroup, Permutation, orbits_on, parse_cycles
 
 
 def naive_pair_check(d):
@@ -172,8 +174,8 @@ def test_flags_counts():
     assert len(flags(projective_design(3))) == 120
     assert len(flags(Design(2, [(1, 2)]))) == 2
     d = projective_design(3)
-    for f in flags(d)[:20]:
-        assert f.point in d.blocks[f.block_index]
+    for point, j in flags(d)[:20]:
+        assert point in d.blocks[j]
 
 
 def test_is_automorphism():
@@ -204,6 +206,65 @@ def test_flag_transitivity():
     triv = PermGroup([Permutation.identity(36)])
     ok, norbits = is_flag_transitive(triv, d)
     assert not ok and norbits == len(flags(d))
+
+
+def _reference_flag_orbit_count(g, d):
+    """Flag orbits counted as `flag_orbit_count` did before it acted on the
+    flags: the point orbits of the setwise stabilizer of one block in each
+    block orbit."""
+    for gen in g.generators:
+        if not is_automorphism(d, gen):
+            raise GeneratorNotAutomorphism(gen)
+    unseen = set(d.block_set)
+    total = 0
+    for block in d.blocks:
+        if frozenset(block) not in unseen:
+            continue
+        orbit, stab = g.orbit_of_set(block)
+        unseen.difference_update(orbit)
+        total += len(orbits_on(block, stab.generators))
+    return total
+
+
+def _random_subgroup(rng, group):
+    """The subgroup generated by two random words in the generators."""
+    words = []
+    for _ in range(2):
+        word = group.identity()
+        for _ in range(rng.randrange(1, 6)):
+            word = word * rng.choice(group.generators)
+        words.append(word)
+    return PermGroup(words)
+
+
+def test_flag_orbit_count_matches_reference():
+    d36, pg3 = construction_36(), projective_design(3)
+    cases = [(twisted_diagonal_group(), d36), (semilinear_group_15(), pg3)]
+    cases += [design_96(h, j) for h in ("h1", "h2") for j in (1, 2)]
+    cases += [(automorphism_group(d).group, d) for _, d in list(cases)]
+    a1, a2 = twisted_diagonal_group().generators
+    cases.append((PermGroup([a1 * a2, a2 * a1]), d36))
+    cases.append((PermGroup([], degree=36), d36))
+    rng = random.Random(5)
+    for d in (d36, pg3, design_96("h2", 1)[1]):
+        full = automorphism_group(d).group
+        cases += [(_random_subgroup(rng, full), d) for _ in range(4)]
+    counts = []
+    for g, d in cases:
+        got = flag_orbit_count(g, d)
+        assert got == _reference_flag_orbit_count(g, d)
+        counts.append(got)
+    assert counts[:6] == [1, 1, 20, 20, 20, 20]
+    assert counts[12:14] == [2, 720]
+    assert len(set(counts[14:])) > 1, counts
+
+
+def test_flag_orbit_count_rejects_non_automorphisms():
+    d = construction_36()
+    for gen in (Permutation.identity(35), Permutation.identity(37),
+                Permutation(list(range(2, 37)) + [1]), parse_cycles("(1,2)", 36)):
+        with pytest.raises(GeneratorNotAutomorphism):
+            flag_orbit_count(PermGroup([gen]), d)
 
 
 def test_flag_transitive_implies_point_and_block_transitive():

@@ -66,6 +66,19 @@ def test_compose_inverse_identity():
         assert (p.inverse() * p).is_identity()
 
 
+def test_points_below_1_raise():
+    p = Permutation([2, 3, 1])
+    for point in (0, -1):
+        with pytest.raises(ValueError):
+            p(point)
+    with pytest.raises(ValueError):
+        p.image_of_set({0, 1})
+    with pytest.raises(ValueError):
+        closure((0,), [p])
+    assert p(3) == 1 and p.image_of_set({3, 1}) == {1, 2}
+    assert p.image_of_set(()) == frozenset()
+
+
 def test_composition_order():
     # (p*q)(x) = q(p(x))
     p = parse_cycles("(1,2)", 3)
@@ -592,9 +605,12 @@ def test_group_file_errors():
 def test_perm_and_design_checks_survive_python_O():
     """The orbit-stabilizer identity, the two block-system checks, the
     Schreier-Sims placement check, the intersection-profile check and the
-    flag-orbit stabilizer check raise under `python -O`."""
+    check that a flag orbit stays within the flags raise under `python -O`.
+    For the last, `design.flags` is cut to its first flag, so the orbit of
+    that flag leaves the items `orbits_on` was given."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     code = r"""
+from ftdesigns import design
 from ftdesigns.design import Design, flag_orbit_count, intersection_profile
 from ftdesigns.perm import BlockSystem, PermGroup, Permutation
 assert False, "python -O did not strip asserts"
@@ -616,14 +632,15 @@ not_invariant._min_partition = lambda seed: ((1, 2), (3, 4))
 swap = Permutation([2, 1, 3, 4])
 misplaced = cyclic4()
 misplaced._sift_from = lambda i, h: swap  # every residue moves base point 1
-leaky = PermGroup([], degree=4)
-leaky.orbit_of_set = lambda points: ([frozenset(points)], cyclic4())
+all_flags = design.flags
+design.flags = lambda d: all_flags(d)[:1]
+square = Design(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 print(raises(wrong_order.orbit_of_set, [1]),
       raises(unequal.block_systems),
       raises(not_invariant.block_systems),
       raises(misplaced.extend, swap),
       raises(intersection_profile, Design(4, []), BlockSystem(4, [[1, 2], [3, 4]])),
-      raises(flag_orbit_count, leaky, Design(4, [(1, 2)])))
+      raises(flag_orbit_count, cyclic4(), square))
 """
     env = dict(os.environ, PYTHONPATH=src)
     # without its placement check, `misplaced.extend` places residues at
