@@ -13,6 +13,14 @@ point/block incidence structure, in the style of canonical graph labeling:
   coloring is equitable; its sequence of split events is the trace token,
   which picks the canonical leaf and so is part of the certificate (a
   test pins it against the original full-rescan refinement);
+- a refinement round runs as splitters only the cells that can still
+  split: every cell at the root, the individualized singleton below it,
+  and then the parts of each cell split in the round before, except the
+  last part (McKay 1981; McKay & Piperno 2014).  A skipped cell would
+  split nothing, so it adds no event and the trace is that of the full
+  rescan: once a cell has run as a splitter, every cell has equal counts
+  into it until it splits, and the last part's counts are its old cell's
+  counts minus those of the parts before it;
 - the search individualizes vertices of the first smallest non-singleton
   cell (children in vertex order), records a label-invariant trace token
   per node, and keeps two reference leaves: the first leaf (for
@@ -140,24 +148,40 @@ class _Search:
 
     # -- refinement -------------------------------------------------------
 
-    def _refine(self, cells):
+    def _refine(self, cells, splitters=None):
         """Split cells by neighbor counts until equitable; returns the new
         cells plus a label-invariant trace of the split events.
 
-        Each round takes the cells at its start as splitters, in order, and
-        splits every cell by its members' neighbor counts into the splitter.
-        An event is (splitter index, index of the cell before this splitter
-        ran, sorted counts, part sizes).  Only non-singleton cells of the
-        other color class are tested: a singleton cannot split, and points
-        meet only blocks, so the events are those of testing every cell."""
+        Each round runs some of the cells at its start as splitters, in
+        order, and splits every cell by its members' neighbor counts into
+        the splitter.  An event is (splitter index, index of the cell before
+        this splitter ran, sorted counts, part sizes).  Only non-singleton
+        cells of the other color class are tested: a singleton cannot
+        split, and points meet only blocks, so the events are those of
+        testing every cell.
+
+        ``splitters`` gives the indices of the first round's splitters, in
+        order; None runs every cell.  ``_recurse`` passes only the
+        individualized singleton: the parent's cells were equitable, so the
+        rest of the target cell splits nothing once the singleton has run.
+        A later round runs the parts of each cell split in the round before,
+        except the last part.  A skipped cell would split nothing, so the
+        events are those of running every cell: once a splitter has run,
+        every cell has equal counts into it, so a cell not split since
+        cannot split anything, and the last part's counts are its old
+        cell's counts minus those of the parts run before it."""
         adj, v = self.adj, self.v
         trace = []
-        changed = True
-        while changed:
-            changed = False
-            splitters = cells
-            targets = self._nonsingletons(cells)
-            for si, scell in enumerate(splitters):
+        targets = None
+        if splitters is None:
+            splitters = range(len(cells))
+        while splitters:
+            start = cells
+            origin = list(range(len(cells)))  # round-start cell of each cell
+            for si in splitters:
+                scell = start[si]
+                if targets is None:
+                    targets = self._nonsingletons(cells)
                 candidates = targets[scell[0] < v]
                 if not candidates:
                     continue
@@ -181,9 +205,10 @@ class _Search:
                     newcells = list(cells)
                     for ci, split in reversed(parts):
                         newcells[ci : ci + 1] = split
+                        origin[ci : ci + 1] = [origin[ci]] * len(split)
                     cells = tuple(newcells)
-                    targets = self._nonsingletons(cells)
-                    changed = True
+                    targets = None
+            splitters = [i for i in range(len(cells) - 1) if origin[i] == origin[i + 1]]
         return cells, tuple(trace)
 
     def _nonsingletons(self, cells):
@@ -293,7 +318,7 @@ class _Search:
             if w in pruned:
                 continue
             child = self._individualize(cells, ti, w)
-            child, token = self._refine(child)
+            child, token = self._refine(child, (ti,))
             jump = self._recurse(child, tokens + (token,), prefix + (w,))
             if jump is not None and jump < len(prefix):
                 return jump

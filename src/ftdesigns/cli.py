@@ -377,6 +377,7 @@ def cmd_bounds(args, out):
     hi = args.hi if args.hi is not None else lo
     if lo < 2 or hi < lo:
         raise InputError("need 2 <= LO <= HI")
+    feasibility.check_lambda_cap(hi)
     report = Report(command="bounds")
     for lam in range(lo, hi + 1):
         br = feasibility.bound_report(lam)
@@ -492,7 +493,8 @@ def main(argv=None, out=None):
     except (design.DesignError, perm.GroupError, perm.CycleParseError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (autgrp.ResourceCapExceeded, design.PointCapExceeded) as exc:
+    except (autgrp.ResourceCapExceeded, design.PointCapExceeded,
+            feasibility.LambdaCapExceeded) as exc:
         print("resource cap: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE_CAP
 

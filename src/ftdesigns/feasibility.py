@@ -16,6 +16,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# The largest lambda that ``feasible_tuples`` and the CLI accept, set so
+# that the longest ``bounds`` run, ``bounds 2 200``, stays within about
+# 10 s (8.4 s on a 2-core Xeon; it grows about as HI^3, 44 s at 300).
+# ``feasible_tuples`` alone grows about as lambda^2.2: 0.17 s at 200.
+MAX_LAMBDA = 200
+
+
+class LambdaCapExceeded(RuntimeError):
+    """A lambda above MAX_LAMBDA."""
+
+
+def check_lambda_cap(lam: int):
+    """Raise LambdaCapExceeded if lam is above MAX_LAMBDA."""
+    if lam > MAX_LAMBDA:
+        raise LambdaCapExceeded("lambda %d is above the cap MAX_LAMBDA = %d"
+                                % (lam, MAX_LAMBDA))
+
+
 @dataclass(frozen=True)
 class FeasibleTuple:
     """Parameter tuple; ``lam`` is the pair-coverage number lambda."""
@@ -208,10 +226,12 @@ def feasible_tuples(lam: int):
     parameters are forced: c = (k-ell)/x, r = lambda(c-1)/(ell-1),
     d = rx/lambda + 1, v = cd, b = vr/k.  Candidates failing any integrality
     step or any feasibility condition are dropped.  Output is sorted by
-    (v, c, k) and is deterministic.
+    (v, c, k) and is deterministic.  Raises LambdaCapExceeded above
+    MAX_LAMBDA.
     """
     if lam < 2:
         raise ValueError("lambda must be at least 2")
+    check_lambda_cap(lam)
     found = []
     for ell, x in enumerate_lx(lam):
         slack = lam - x * (ell - 1)  # positive by the (ell, x) cap

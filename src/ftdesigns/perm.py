@@ -334,10 +334,11 @@ class PermGroup:
                         continue
                     level.done.add((p, serial))
                     q = g(p)
-                    sg = level.transversal[p] * g * level.inverses[q]
-                    if sg.is_identity():
+                    ug = level.transversal[p] * g
+                    # the Schreier generator ug * inverses[q] is trivial
+                    if ug.images == level.transversal[q].images:
                         continue
-                    residue = self._sift_from(i + 1, sg)
+                    residue = self._sift_from(i + 1, ug * level.inverses[q])
                     if residue.is_identity():
                         continue
                     j = self._place_gen(residue)

@@ -241,8 +241,8 @@ def test_refine_matches_reference(monkeypatch):
     refine = _Search._refine
     calls = []
 
-    def checked(self, cells):
-        got = refine(self, cells)
+    def checked(self, cells, splitters=None):
+        got = refine(self, cells, splitters)
         assert got == _reference_refine(self, cells), cells
         calls.append(1)
         return got

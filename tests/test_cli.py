@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ftdesigns
-from ftdesigns import autgrp, cli, design
+from ftdesigns import autgrp, cli, design, feasibility
 from ftdesigns.construct import construction_36, projective_design
 from ftdesigns.design import format_design_text
 from ftdesigns.perm import Permutation, format_group_text
@@ -82,6 +82,25 @@ def test_feasible_csv():
 def test_feasible_bad_lambda():
     code, _ = run_cli(["feasible", "--lambda", "1"])
     assert code == cli.EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible", "--lambda", str(feasibility.MAX_LAMBDA + 1)],
+    ["bounds", "2", str(feasibility.MAX_LAMBDA + 1)],
+    ["bounds", str(10**9), str(10**9)],
+])
+def test_lambda_above_the_cap_exits_3(argv, capsys):
+    assert run_cli(argv) == (cli.EXIT_RESOURCE_CAP, "")
+    err = capsys.readouterr().err
+    assert "cap MAX_LAMBDA = %d" % feasibility.MAX_LAMBDA in err
+    assert "Traceback" not in err
+
+
+def test_lambda_at_the_cap_runs():
+    code, text = run_cli(["feasible", "--lambda", str(feasibility.MAX_LAMBDA),
+                          "--format", "json"])
+    assert code == cli.EXIT_OK
+    assert json.loads(text)["lambda"] == feasibility.MAX_LAMBDA
 
 
 def test_construct_and_verify_round_trip(tmp_path):
