@@ -118,32 +118,16 @@ class _Search:
     # -- initial invariant-based coloring --------------------------------
 
     def _initial_cells(self):
-        v, b = self.v, self.b
-        point_mask = (1 << v) - 1
-        pt_key = {}
-        for p in range(v):
-            counts = sorted(
-                (self.adj[p] & self.adj[q] & ~point_mask).bit_count()
-                for q in range(v)
-                if q != p
-            )
-            pt_key[p] = (self.adj[p].bit_count(), tuple(counts))
-        blk_key = {}
-        for j in range(b):
-            bj = v + j
-            inter = sorted(
-                (self.adj[bj] & self.adj[v + i] & point_mask).bit_count()
-                for i in range(b)
-                if i != j
-            )
-            blk_key[bj] = (self.adj[bj].bit_count(), tuple(inter))
+        """Points, then blocks, split by (degree, sorted counts of common
+        neighbors with each other vertex of the same class), in key order."""
+        adj = self.adj
         cells = []
-        for keymap, verts in ((pt_key, range(v)), (blk_key, range(v, v + b))):
+        for verts in (range(self.v), range(self.v, self.v + self.b)):
             groups = {}
             for u in verts:
-                groups.setdefault(keymap[u], []).append(u)
-            for key in sorted(groups):
-                cells.append(tuple(groups[key]))
+                common = sorted((adj[u] & adj[w]).bit_count() for w in verts if w != u)
+                groups.setdefault((adj[u].bit_count(), tuple(common)), []).append(u)
+            cells.extend(tuple(groups[key]) for key in sorted(groups))
         return tuple(cells)
 
     # -- refinement -------------------------------------------------------

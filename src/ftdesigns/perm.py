@@ -10,13 +10,13 @@ package.  All orders are plain Python integers, so nothing overflows.
 Orbits of points, point sets, bitmasks, flags and search vertices come
 from one routine, ``closure`` (Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, 2005, 4.1) with the action passed in, and
-``orbits_on`` built on it; only ``_extend_orbit`` and ``orbit_of_set`` keep
-their own loops, because they build transversals as they go.
+``orbits_on`` built on it; only ``orbit_of_set`` keeps its own loop, because
+it builds a transversal of point sets as it goes.  The Schreier-Sims walk
+grows each basic orbit inside the scan of its Schreier pairs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cache
 
 
@@ -238,11 +238,11 @@ class _Level:
 
     def __init__(self, point, degree):
         self.point = point
-        self.gens = []  # (serial, Permutation) stored at this level
+        self.gens = []  # the strong generators that fix the earlier base points
         self.transversal = {point: Permutation.identity(degree)}
         self.inverses = dict(self.transversal)  # orbit point -> transversal[q]^-1
         self.orbit_list = [point]
-        self.done = set()  # processed Schreier pairs (orbit point, gen serial)
+        self.done = {point: 0}  # orbit point p -> gens[:done[p]] are paired with p
 
 
 class PermGroup:
@@ -263,49 +263,31 @@ class PermGroup:
         self.degree = degree
         self.generators = ()
         self._levels = []
-        self._serial = 0
         for g in generators:
             self.extend(g)
         self.generators = generators
 
     # -- Schreier-Sims construction ------------------------------------
     #
-    # Level i holds the strong generators that fix the first i base points
-    # but move the (i+1)-th; the generating set of the i-th stabilizer is
-    # everything stored at levels i and deeper.  A level is complete once
-    # every Schreier generator of its basic orbit sifts to the identity
-    # through the deeper levels.
+    # Level i's ``gens`` are the strong generators that fix the first i base
+    # points, and generate the i-th point stabilizer.  Level i is complete
+    # once its orbit is closed under them and every Schreier generator of
+    # that orbit sifts to the identity through the deeper levels; each
+    # (orbit point, generator) pair is sifted once.  ``extend`` completes
+    # the chain with one level pointer (Holt, Eick & O'Brien 2005, 4.4).
 
     def _place_gen(self, h):
-        """Store a nonidentity strong generator at the level whose base
-        prefix it fixes, creating a new level, based at the smallest point
-        h moves, when it fixes all bases."""
-        i = 0
-        while i < len(self._levels) and h(self._levels[i].point) == self._levels[i].point:
-            i += 1
-        if i == len(self._levels):
-            self._levels.append(_Level(h.min_moved(), self.degree))
-        self._serial += 1
-        self._levels[i].gens.append((self._serial, h))
-        return i
-
-    def _effective_gens(self, i):
-        return [sg for level in self._levels[i:] for sg in level.gens]
-
-    def _extend_orbit(self, i, gens):
-        level = self._levels[i]
-        queue = deque(level.orbit_list)
-        while queue:
-            p = queue.popleft()
-            up = level.transversal[p]
-            for _, g in gens:
-                q = g(p)
-                if q not in level.transversal:
-                    u = up * g
-                    level.transversal[q] = u
-                    level.inverses[q] = u.inverse()
-                    level.orbit_list.append(q)
-                    queue.append(q)
+        """Append a nonidentity strong generator h to the gens of every level
+        whose base point it fixes and of the first level whose base point it
+        moves, and return that level's index; when h fixes every base point,
+        that level is a new one, based at the smallest point h moves."""
+        for i, level in enumerate(self._levels):
+            level.gens.append(h)
+            if h(level.point) != level.point:
+                return i
+        self._levels.append(_Level(h.min_moved(), self.degree))
+        self._levels[-1].gens.append(h)
+        return len(self._levels) - 1
 
     def _sift_from(self, i, h):
         """Residue of h through the stabilizer chain from level i down."""
@@ -321,51 +303,57 @@ class PermGroup:
             h = h * u_inv
         return h
 
-    def _complete_level(self, i):
+    def _next_residue(self, i):
+        """Grow level i's orbit under its gens and sift each Schreier
+        generator not yet sifted through the deeper levels; returns the
+        first nontrivial residue, or None once level i is complete."""
         level = self._levels[i]
-        restart = True
-        while restart:
-            restart = False
-            gens = self._effective_gens(i)
-            self._extend_orbit(i, gens)
-            for p in list(level.orbit_list):
-                for serial, g in gens:
-                    if (p, serial) in level.done:
-                        continue
-                    level.done.add((p, serial))
-                    q = g(p)
-                    ug = level.transversal[p] * g
-                    # the Schreier generator ug * inverses[q] is trivial
-                    if ug.images == level.transversal[q].images:
-                        continue
+        gens, transversal, done = level.gens, level.transversal, level.done
+        for p in level.orbit_list:  # grows while the loop runs
+            up = transversal[p]
+            for k in range(done[p], len(gens)):
+                q = gens[k](p)
+                ug = up * gens[k]
+                if q not in transversal:
+                    transversal[q] = ug
+                    level.inverses[q] = ug.inverse()
+                    level.orbit_list.append(q)
+                    done[q] = 0
+                # the Schreier generator ug * inverses[q] is trivial iff ug == transversal[q]
+                elif ug.images != transversal[q].images:
                     residue = self._sift_from(i + 1, ug * level.inverses[q])
-                    if residue.is_identity():
-                        continue
-                    j = self._place_gen(residue)
-                    if j <= i:
-                        raise AssertionError("Schreier residue placed at level %r, not below %d"
-                                             % (j, i))
-                    for k in range(len(self._levels) - 1, i, -1):
-                        self._complete_level(k)
-                    restart = True
-                    break
-                if restart:
-                    break
+                    if not residue.is_identity():
+                        done[p] = k + 1
+                        return residue
+            done[p] = len(gens)
+        return None
 
     def extend(self, g):
         """Add g to the generators unless it is already a member; returns
-        whether the group grew.  The sifted residue becomes a new strong
-        generator, and its level and every shallower one are completed
-        again in place; each level keeps its processed Schreier pairs, so
-        only the pairs with new orbit points or generators are sifted."""
+        whether the group grew.  The sifted residue becomes a strong
+        generator at some level i, and while i >= 0: if level i is complete,
+        i drops by one; else the residue of its next Schreier generator
+        becomes a strong generator, at a deeper level j, and i becomes j.
+        The levels past i are complete throughout, and each level keeps its
+        sifted pairs, so only the pairs with new orbit points or generators
+        are sifted."""
         if g.degree != self.degree:
             raise GroupError("generator degree %d does not match %d" % (g.degree, self.degree))
         residue = self.sift(g)
         if residue.is_identity():
             return False
         self.generators += (g,)
-        for i in range(self._place_gen(residue), -1, -1):
-            self._complete_level(i)
+        i = self._place_gen(residue)
+        while i >= 0:
+            residue = self._next_residue(i)
+            if residue is None:
+                i -= 1
+                continue
+            j = self._place_gen(residue)
+            if j <= i:
+                raise AssertionError("Schreier residue placed at level %r, not below %d"
+                                     % (j, i))
+            i = j
         return True
 
     # -- queries ---------------------------------------------------------
@@ -376,7 +364,7 @@ class PermGroup:
 
     @property
     def strong_generators(self):
-        return tuple(g for level in self._levels for _, g in level.gens)
+        return tuple(self._levels[0].gens) if self._levels else ()
 
     @property
     def basic_orbits(self):

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ import pytest
 import ftdesigns
 from ftdesigns import autgrp, cli, design, feasibility
 from ftdesigns.construct import construction_36, projective_design
-from ftdesigns.design import format_design_text
-from ftdesigns.perm import Permutation, format_group_text
+from ftdesigns.design import Design, format_design_text
+from ftdesigns.perm import Permutation, format_cycles, format_group_text
 from ftdesigns.construct import semilinear_group_15, twisted_diagonal_group
 
 
@@ -240,6 +241,82 @@ def test_malformed_input_exits_2(tmp_path, capsys, design_text, group_text):
     assert code == cli.EXIT_INPUT_ERROR
     assert text == ""
     assert "error: " in err and "Traceback" not in err
+
+
+def _empty_text(rng):
+    return "".join(rng.choice(["\n", "  \n", "\t\n", "# a comment\n"])
+                   for _ in range(rng.randint(0, 4)))
+
+
+def _out_of_range(rng, v):
+    return rng.choice([0, -rng.randint(1, 9), v + rng.randint(1, 9)])
+
+
+def _malformed_design(rng, kind):
+    """A complete 2-(v,k) design file on 3 to 7 points made malformed:
+    ``truncated`` loses a nonempty head, and with it the ``v`` header line;
+    ``out-of-range`` and ``repeated-point`` change one block line."""
+    if kind == "empty":
+        return _empty_text(rng)
+    v = rng.randint(3, 7)
+    text = format_design_text(Design(v, combinations(range(1, v + 1), rng.randint(2, v - 1))))
+    if kind == "truncated":
+        return text[rng.randint(1, len(text)):]
+    lines = text.splitlines()
+    i = rng.randrange(1, len(lines))
+    if kind == "out-of-range":
+        lines[i] += " %d" % _out_of_range(rng, v)
+    else:
+        lines[i] += " " + rng.choice(lines[i].split())
+    return "\n".join(lines) + "\n"
+
+
+def _malformed_group(rng, kind, v):
+    """A group file of degree v with one to three random generators made
+    malformed: ``truncated`` ends inside its header line or inside a cycle;
+    ``out-of-range`` and ``repeated-point`` add a cycle to one generator."""
+    if kind == "empty":
+        return _empty_text(rng)
+    gens = [Permutation(rng.sample(range(1, v + 1), v)) for _ in range(rng.randint(1, 3))]
+    lines = ["degree %d" % v] + [format_cycles(g) for g in gens]
+    if kind == "truncated":
+        text = "\n".join(lines) + "\n"
+        cuts = [i for i in range(len(text))
+                if i < len(lines[0]) or text.count("(", 0, i) > text.count(")", 0, i)]
+        return text[:rng.choice(cuts)]
+    i = rng.randrange(1, len(lines))
+    if kind == "out-of-range":
+        cycle = (_out_of_range(rng, v), rng.randint(1, v))
+    else:
+        moved = [p for p in range(1, v + 1) if gens[i - 1](p) != p] or [1]
+        cycle = (rng.choice(moved), rng.choice(moved))
+    lines[i] += "(%d,%d)" % cycle
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["truncated", "out-of-range", "repeated-point", "empty"])
+@pytest.mark.parametrize("argv", [["verify", "in.dsg"], ["aut", "in.dsg"],
+                                  ["verify", "pairs.dsg", "in.grp"]],
+                         ids=["verify-design", "aut-design", "verify-group"])
+def test_generated_malformed_input_exits_cleanly(tmp_path, capsys, argv, kind):
+    """40 generated malformed design or group files per case: each run
+    exits 2 or 3 with a message on stderr, prints nothing on stdout and
+    raises nothing.  A group file is read after a valid design, the
+    complete 2-(v,2,1) design on its degree."""
+    rng = random.Random("%s %s" % (" ".join(argv), kind))
+    for _ in range(40):
+        if argv[-1] == "in.grp":
+            v = rng.randint(2, 9)
+            (tmp_path / "pairs.dsg").write_text(
+                format_design_text(Design(v, combinations(range(1, v + 1), 2))))
+            text = _malformed_group(rng, kind, v)
+        else:
+            text = _malformed_design(rng, kind)
+        (tmp_path / argv[-1]).write_text(text)
+        code, out = run_cli([argv[0]] + [str(tmp_path / name) for name in argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_INPUT_ERROR, cli.EXIT_RESOURCE_CAP), text
+        assert out == "" and err.strip() and "Traceback" not in err, text
 
 
 HUGE_DESIGN = "v 10000000000\n1 2 3\n1 4 5\n2 4 6\n"

@@ -10,6 +10,15 @@ import sys
 import pytest
 
 import ftdesigns
+from ftdesigns.autgrp import automorphism_group
+from ftdesigns.construct import (
+    block_regular_group_96,
+    construction_36,
+    coset_model_group,
+    projective_design,
+    semilinear_group_15,
+    twisted_diagonal_group,
+)
 from ftdesigns.perm import (
     CycleParseError,
     GroupError,
@@ -140,6 +149,39 @@ def test_bsgs_invariants():
         for point, orbit, transversal in g.basic_orbits:
             for q in orbit:
                 assert transversal[q](point) == q
+
+
+def assert_chain_complete(g):
+    """The chain is a base and strong generating set, checked through the
+    public API only: with S_i the strong generators fixing b_0..b_{i-1},
+    the i-th basic orbit is the orbit of b_i under S_i, and every Schreier
+    generator t[p] * s * t[s(p)]^-1 of it fixes b_0..b_i and sifts to the
+    identity."""
+    base = g.base
+    for i, (point, orbit, transversal) in enumerate(g.basic_orbits):
+        assert point == base[i]
+        gens = [s for s in g.strong_generators if all(s(b) == b for b in base[:i])]
+        assert sorted(orbit) == sorted(closure((point,), gens))
+        assert set(transversal) == set(orbit)
+        for p in orbit:
+            assert transversal[p](point) == p
+            for s in gens:
+                schreier = transversal[p] * s * transversal[s(p)].inverse()
+                assert all(schreier(b) == b for b in base[: i + 1])
+                assert g.sift(schreier).is_identity()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: block_regular_group_96("h1"),
+    lambda: block_regular_group_96("h2"),
+    twisted_diagonal_group,
+    semilinear_group_15,
+    coset_model_group,
+    lambda: automorphism_group(construction_36()).group,
+    lambda: automorphism_group(projective_design(3)).group,
+], ids=["H1", "H2", "twisted-diagonal", "semilinear", "coset-model", "Aut(d36)", "Aut(pg3)"])
+def test_chain_is_complete(build):
+    assert_chain_complete(build())
 
 
 def test_determinism():

@@ -1,6 +1,7 @@
-"""Property tests of `PermGroup` against sympy on generated groups of
-degree 2 to 10: orders, membership of generator words and of arbitrary
-permutations, and `extend` growing the group exactly for non-members."""
+"""Property tests of `PermGroup` on generated groups of degree 2 to 10:
+orders, membership of generator words and of arbitrary permutations, and
+`extend` growing the group exactly for non-members, all against sympy; and
+the completeness of the stabilizer chain after each `extend`."""
 
 import pytest
 
@@ -10,6 +11,7 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ftdesigns.perm import PermGroup, Permutation  # noqa: E402
+from test_perm import assert_chain_complete  # noqa: E402
 
 # Under 1 s for the module on a 2-core host; the slowest example, S_10
 # built by both libraries, takes a few milliseconds.  Derandomized and
@@ -74,3 +76,13 @@ def test_extend_grows_exactly_for_non_members(group, data):
         assert g.extend(p) == (not member)
         assert g.generators == (before if member else before + (p,))
         assert g.order() == _sympy_group(g.generators, n).order()
+
+
+@PROPERTY_SETTINGS
+@given(groups())
+def test_chain_is_complete_after_each_extend(group):
+    n, gens, _ = group
+    g = PermGroup((), degree=n)
+    for p in gens:
+        g.extend(p)
+        assert_chain_complete(g)
