@@ -8,7 +8,7 @@ import io
 import json
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations
 
 from ftdesigns import cli
 from ftdesigns.autgrp import (
@@ -220,15 +220,7 @@ def test_criterion_9_property_suites():
         assert got == expected
 
     # autgrp brute-force equivalence at v <= 8
-    def brute_aut_order(d):
-        count = 0
-        blocks = d.block_set
-        for images in permutations(range(1, d.v + 1)):
-            p = Permutation(images)
-            if all(p.image_of_set(b) in blocks for b in d.blocks):
-                count += 1
-        return count
-
+    from test_autgrp import brute_aut_order
     for _ in range(8):
         v = rng.randint(4, 8)
         pool = [c for k in (2, 3) for c in combinations(range(1, v + 1), k)]

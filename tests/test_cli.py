@@ -18,6 +18,8 @@ from ftdesigns.design import Design, format_design_text
 from ftdesigns.perm import Permutation, format_cycles, format_group_text
 from ftdesigns.construct import semilinear_group_15, twisted_diagonal_group
 
+from test_design import odd_spelling
+
 
 # subprocesses import the package from the same tree as the tests
 SRC_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(
@@ -171,6 +173,19 @@ def test_verify_design_only(tmp_path):
     payload = json.loads(text)
     checks = {f["check"]: f for f in payload["findings"]}
     assert tuple(checks["parameters (v,b,k,r,lambda)"]["observed"]) == (36, 90, 8, 20, 4)
+
+
+def test_verify_reads_every_int_spelling(tmp_path):
+    """A design file whose points are spelled "07", "+7", "７" or "0_7"
+    gets the same report as its canonical file."""
+    d = construction_36()
+    (tmp_path / "canonical.dsg").write_text(format_design_text(d))
+    (tmp_path / "odd.dsg").write_text(odd_spelling(d), encoding="utf-8")
+    (code, text), (odd_code, odd_text) = (
+        run_cli(["verify", str(tmp_path / name), "--format", "json"])
+        for name in ("canonical.dsg", "odd.dsg"))
+    assert code == 0
+    assert (odd_code, _normalised(odd_text)) == (code, _normalised(text))
 
 
 def test_verify_generator_not_automorphism(tmp_path):

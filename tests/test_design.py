@@ -2,12 +2,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import pytest
 
 import ftdesigns
+from ftdesigns import design
 from ftdesigns.autgrp import automorphism_group
 from ftdesigns.construct import (
     construction_36,
@@ -349,3 +351,124 @@ def test_design_file_round_trip():
         parse_design_text("blocks\n1 2\n")
     with pytest.raises(DesignError):
         parse_design_text("v 4\n1 x\n")
+
+
+def odd_spelling(d):
+    """The design file of d with each point spelled one of five ways int()
+    accepts: "7", "07", "+7", fullwidth "７" and "0_7" (or "1_2" for 12)."""
+    def spell(p, i):
+        s = str(p)
+        return (s, "0" + s, "+" + s,
+                "".join(chr(0xFF10 + int(c)) for c in s),
+                s[0] + "_" + s[1:] if p >= 10 else "0_" + s)[i % 5]
+
+    lines = ["v %d" % d.v]
+    lines.extend(" ".join(spell(p, i + j) for i, p in enumerate(blk))
+                 for j, blk in enumerate(d.blocks))
+    return "\n".join(lines) + "\n"
+
+
+def _int_reference_parse(text):
+    """Blocks read with one int() per token, as the parser did before its
+    lookup table."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    return Design(int(lines[0].split()[1]),
+                  [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]])
+
+
+def test_parse_accepts_every_int_spelling():
+    text = "v 12\n01 +2 ３ 1_0\n1 2 3 10 11\n+11 0_12 ０７\n"
+    d = parse_design_text(text)
+    assert d == _int_reference_parse(text)
+    assert d.blocks == ((1, 2, 3, 10), (1, 2, 3, 10, 11), (7, 11, 12))
+    for canonical in (construction_36(), projective_design(5)):
+        odd = odd_spelling(canonical)
+        assert odd != format_design_text(canonical)
+        assert parse_design_text(odd) == _int_reference_parse(odd) == canonical
+
+
+def test_parse_errors_survive_the_lookup_table():
+    for token in ("1.5", "x", "--3", "1__0", "_1"):
+        with pytest.raises(DesignError, match="bad block line: '1 %s'" % token):
+            parse_design_text("v 4\n1 %s\n" % token)
+    for line in ("0 1", "1 5", "1 05"):
+        with pytest.raises(DesignError, match=r"out of range 1\.\.4"):
+            parse_design_text("v 4\n%s\n" % line)
+
+
+def test_parse_points_above_the_table():
+    """The lookup table stops at MAX_POINTS (a huge header stays cheap, see
+    test_huge_design_hits_the_point_cap); points above it are read by int()
+    and refused by the point cap later."""
+    v = 3 * MAX_POINTS
+    d = parse_design_text("v %d\n1 2\n%d %d\n" % (v, MAX_POINTS + 1, v))
+    assert d.blocks == ((1, 2), (MAX_POINTS + 1, v))
+    with pytest.raises(PointCapExceeded):
+        check_2_design(d)
+
+
+def test_parsed_blocks_share_point_objects():
+    d = parse_design_text(format_design_text(projective_design(9)))
+    first = {p: p for p in d.blocks[0]}
+    shared = [p for blk in d.blocks[1:] for p in blk if p > 256 and p in first]
+    assert shared and all(p is first[p] for p in shared)
+
+
+def test_block_set_is_built_lazily():
+    d = projective_design(5)
+    twin = Design(d.v, d.blocks)
+    assert d._block_set is None
+    check_2_design(d)
+    assert d._block_set is None
+    blocks = d.block_set
+    assert blocks == {frozenset(blk) for blk in d.blocks}
+    assert d.block_set is blocks
+    assert d == twin and hash(d) == hash(twin)  # the cache takes no part
+    for name in ("v", "blocks", "_block_set", "other"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+    assert d.block_set is blocks
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_and_check_pg9_memory():
+    """Reading and checking pg 9 peaks near 10 MiB (52.8 MiB when every
+    token had its own int and the block set was built eagerly)."""
+    text = format_design_text(projective_design(9))
+    peak = _peak_mib(lambda: check_2_design(parse_design_text(text)))
+    assert peak < 20
+
+
+def test_point_rows_buffer_is_chunked():
+    """The complete 2-(300,2,1) design has 44,850 blocks; its point rows
+    are built chunk by chunk (an unchunked buffer peaks at 14.6 MiB)."""
+    d = Design(300, combinations(range(1, 301), 2))
+    assert d.b > design._ROW_CHUNK
+    assert _peak_mib(check_2_design, d) < 8
+
+
+def _reference_point_rows(d):
+    rows = [0] * d.v
+    for j, blk in enumerate(d.blocks):
+        for p in blk:
+            rows[p - 1] |= 1 << j
+    return rows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8, 9])
+def test_point_rows_in_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(design, "_ROW_CHUNK", chunk)
+    test_check_2_design_failures()
+    for d in (projective_design(5), construction_36(), Design(3, [(1, 2)])):
+        assert design._point_rows(d) == _reference_point_rows(d)
+    for d in (projective_design(5), construction_36()):
+        assert check_2_design(d).as_tuple() == naive_pair_check(d)
