@@ -137,22 +137,11 @@ ROW_STATUS = {
 LAMBDA2_EXCLUDED_NOTE = "numerically feasible; ruled out by the published classification"
 
 # Rows of the published feasible-parameter tables whose printed r value
-# contradicts the identity r(k-1) = lambda(v-1).  ``forced_r`` is the value
-# the identity requires.  The v=435 row additionally fails the feasibility
-# conditions named in ``fails`` once r is forced, so the enumerator cannot
-# emit it; the CLI carries it as an explicitly flagged discrepancy row.
+# contradicts the identity r(k-1) = lambda(v-1), as (v, k, printed r, c, d,
+# ell).  feasible_table_rows forces r by the identity and carries a row that
+# then fails feasibility (v=435) as an explicitly flagged discrepancy row.
 PRINTED_ROW_DISCREPANCIES = {
-    4: (
-        {
-            "v": 196, "k": 16, "c": 14, "d": 14, "ell": 2,
-            "printed_r": 42, "forced_r": 52, "fails": (),
-        },
-        {
-            "v": 435, "k": 32, "c": 15, "d": 29, "ell": 2,
-            "printed_r": 42, "forced_r": 56,
-            "fails": ("flag-count", "block-count-divisibility"),
-        },
-    ),
+    4: ((196, 16, 42, 14, 14, 2), (435, 32, 42, 15, 29, 2)),
 }
 
 # Expected row counts of the emitted tables (feasible rows + flagged
@@ -163,49 +152,29 @@ EXPECTED_TABLE_ROWS = {2: 4, 3: 10, 4: 18}
 def feasible_table_rows(lam: int):
     """Feasible tuples as dict rows plus flagged printed-row discrepancies,
     merged in (v, c, k) order."""
-    rows = []
-    for t in feasibility.feasible_tuples(lam):
-        row = t.as_dict()
-        key = (lam, t.v, t.k, t.r, t.c, t.d, t.ell)
-        if key in ROW_STATUS:
-            row["status"] = ROW_STATUS[key]
-        elif lam == 2:
-            row["status"] = LAMBDA2_EXCLUDED_NOTE
-        else:
-            row["status"] = ""
-        rows.append(row)
-    for disc in PRINTED_ROW_DISCREPANCIES.get(lam, ()):
-        row = {
-            "lambda": lam,
-            "v": disc["v"],
-            "k": disc["k"],
-            "r": disc["forced_r"],
-            "b": None,
-            "c": disc["c"],
-            "d": disc["d"],
-            "ell": disc["ell"],
-            "x": disc["k"] - 1 - disc["d"] * (disc["ell"] - 1),
-            "printed_r": disc["printed_r"],
-            "forced_r": disc["forced_r"],
-        }
-        if disc["fails"]:
-            row["status"] = (
-                "printed-row discrepancy: r printed as %d, identity forces %d; "
-                "fails feasibility (%s)"
-                % (disc["printed_r"], disc["forced_r"], ", ".join(disc["fails"]))
-            )
-            rows.append(row)
-        else:
-            # identity-forced r on an otherwise feasible row: annotate in place
-            for existing in rows:
-                if (existing["v"], existing["k"]) == (disc["v"], disc["k"]):
-                    existing["printed_r"] = disc["printed_r"]
-                    existing["forced_r"] = disc["forced_r"]
-                    existing["status"] = (
-                        "printed-row discrepancy: r printed as %d, identity "
-                        "forces %d; %s" % (disc["printed_r"], disc["forced_r"],
-                                           existing["status"] or "feasible")
-                    )
+    default = LAMBDA2_EXCLUDED_NOTE if lam == 2 else ""
+    emitted = {t: {**t.as_dict(), "status": ROW_STATUS.get(t.row(), default)}
+               for t in feasibility.feasible_tuples(lam)}
+    rows = list(emitted.values())
+    for v, k, printed_r, c, d, ell in PRINTED_ROW_DISCREPANCIES.get(lam, ()):
+        r = lam * (v - 1) // (k - 1)
+        t = feasibility.FeasibleTuple(lam=lam, v=v, k=k, r=r, b=v * r // k, c=c,
+                                      d=d, ell=ell, x=k - 1 - d * (ell - 1))
+        note = "printed-row discrepancy: r printed as %d, identity forces %d; " % (
+            printed_r, r)
+        fails = feasibility.condition_failures(t)
+        if fails:
+            rows.append({**t.as_dict(), "b": None, "printed_r": printed_r,
+                         "forced_r": r,
+                         "status": note + "fails feasibility (%s)" % ", ".join(fails)})
+            continue
+        # a feasible forced row is one the enumerator emitted: annotate it
+        row = emitted.get(t)
+        if row is None:
+            raise AssertionError("feasible discrepancy row %r was not enumerated" % (t,))
+        row["status"] = note + (row["status"] or "feasible")
+        row["printed_r"] = printed_r
+        row["forced_r"] = r
     rows.sort(key=lambda row: (row["v"], row["c"], row["k"]))
     return rows
 
@@ -264,6 +233,17 @@ def _read_text(path):
         raise InputError("cannot read %s: %s" % (path, exc)) from None
 
 
+# The counting conditions verify reports for a 2-design, as (condition name,
+# formula shown in the check label, provenance).
+_COUNTING_FINDINGS = (
+    ("replication-count", "r(k-1)=lambda(v-1)", "trivial"),
+    ("flag-count", "bk=vr", "trivial"),
+    ("block-lower-bound", "b>=v", "derived"),
+    ("replication-lower-bound", "r>=k", "derived"),
+    ("replication-square", "r^2>lambda*v", "derived"),
+)
+
+
 def _verify_design(report, d):
     try:
         params = design.check_2_design(d)
@@ -275,14 +255,9 @@ def _verify_design(report, d):
     report.add("parameters (v,b,k,r,lambda)", params.as_tuple(), params.as_tuple(),
                "derived", informational=True)
     report.add("nontrivial (2<k<v)", True, params.nontrivial, "derived")
-    report.add("replication-count r(k-1)=lambda(v-1)", True,
-               params.r * (params.k - 1) == params.lam * (params.v - 1), "trivial")
-    report.add("flag-count bk=vr", True, params.b * params.k == params.v * params.r,
-               "trivial")
-    report.add("block-lower-bound b>=v", True, params.b >= params.v, "derived")
-    report.add("replication-lower-bound r>=k", True, params.r >= params.k, "derived")
-    report.add("replication-square r^2>lambda*v", True,
-               params.r ** 2 > params.lam * params.v, "derived")
+    for name, formula, provenance in _COUNTING_FINDINGS:
+        report.add("%s %s" % (name, formula), True,
+                   feasibility.CONDITIONS[name](params), provenance)
     return params
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .feasibility import FeasibleTuple, condition_failures
+from .feasibility import CONDITIONS, FeasibleTuple, condition_failures
 from .perm import BlockSystem, PermGroup, Permutation, orbits_on
 
 
@@ -123,7 +123,7 @@ class DesignParameters:
 
     @property
     def nontrivial(self):
-        return 2 < self.k < self.v
+        return CONDITIONS["nontrivial-design"](self)
 
     def as_tuple(self):
         return (self.v, self.b, self.k, self.r, self.lam)
@@ -137,16 +137,21 @@ class IntersectionProfile:
     witness: Optional[tuple] = None  # (block_index, part_index, size, expected)
 
 
+# The feasibility conditions that check_2_design tests on (v, b, k, r,
+# lambda), in order; all but the first two bind only when 2 < k < v.
+_DESIGN_CONDITIONS = ("replication-count", "flag-count", "block-lower-bound",
+                      "replication-lower-bound", "replication-square")
+
+
 def check_2_design(d: Design) -> DesignParameters:
     """Verify the 2-design axioms and counting identities.
 
     Block size must be constant, every point pair must lie in the same
     number of blocks (counted over all pairs on bit-set point rows), and
-    the derived (v, b, k, r, lambda) must satisfy r(k-1) = lambda(v-1),
-    bk = vr, b >= v, r >= k and r^2 > lambda*v (the last three only bind for
-    nontrivial designs with 2 < k < v).  Raises NotTwoDesignError naming the
-    first violated condition, with a witness, and PointCapExceeded when v
-    is above MAX_POINTS.
+    the derived (v, b, k, r, lambda) must pass the ``_DESIGN_CONDITIONS``
+    entries of ``feasibility.CONDITIONS``.  Raises NotTwoDesignError naming
+    the first violated condition, with a witness, and PointCapExceeded when
+    v is above MAX_POINTS.
     """
     if d.b == 0:
         raise NotTwoDesignError("no-blocks")
@@ -180,19 +185,11 @@ def check_2_design(d: Design) -> DesignParameters:
     for p, rep in enumerate(reps, 1):
         if rep != r:
             raise NotTwoDesignError("non-constant-replication", (1, r, p, rep))
-    b = d.b
-    params = DesignParameters(v=v, b=b, k=k, r=r, lam=lam)
-    if r * (k - 1) != lam * (v - 1):
-        raise NotTwoDesignError("replication-count", params)
-    if b * k != v * r:
-        raise NotTwoDesignError("flag-count", params)
-    if params.nontrivial:
-        if b < v:
-            raise NotTwoDesignError("block-lower-bound", params)
-        if r < k:
-            raise NotTwoDesignError("replication-lower-bound", params)
-        if r * r <= lam * v:
-            raise NotTwoDesignError("replication-square", params)
+    params = DesignParameters(v=v, b=d.b, k=k, r=r, lam=lam)
+    names = _DESIGN_CONDITIONS if params.nontrivial else _DESIGN_CONDITIONS[:2]
+    for name in names:
+        if not CONDITIONS[name](params):
+            raise NotTwoDesignError(name, params)
     return params
 
 
@@ -295,15 +292,9 @@ def intersection_profile(d: Design, c: BlockSystem) -> IntersectionProfile:
                 )
     if ell is None:
         raise AssertionError("design has no nonempty block/part intersection")
-    k = len(d.blocks[0])
-    met = k // ell
-    for j, blk in enumerate(d.blocks):
-        bs = frozenset(blk)
-        count = sum(1 for part in parts if bs & part)
-        if count * ell != len(blk):
-            raise AssertionError("block %d meets %d parts in %d points each, not k"
-                                 % (j, count, ell))
-    return IntersectionProfile(ell=ell, parts_met_per_block=met, constant=True)
+    # c partitions 1..v, so each block's nonempty intersections sum to its size
+    return IntersectionProfile(ell=ell, parts_met_per_block=len(d.blocks[0]) // ell,
+                               constant=True)
 
 
 def tuple_of(d: Design, g: PermGroup, c: BlockSystem) -> FeasibleTuple:
@@ -311,9 +302,9 @@ def tuple_of(d: Design, g: PermGroup, c: BlockSystem) -> FeasibleTuple:
     from a verified (design, flag-transitive group, invariant partition)
     triple and check it against the feasibility conditions.
 
-    The multiplier x is computed two independent ways, from
-    x = k - 1 - d(ell - 1) and from k = x*c + ell; any disagreement is a
-    hard error rather than something to resolve silently.
+    The multiplier is x = k - 1 - d(ell - 1); the condition
+    ``block-size-split`` (k = x*c + ell) then checks it against the part
+    size, and any failed condition is a DesignError naming it.
     """
     params = check_2_design(d)
     transitive, orbits = is_flag_transitive(g, d)
@@ -334,30 +325,10 @@ def assemble_tuple(params: DesignParameters, c: BlockSystem, ell: int) -> Feasib
     parameters ``params`` and a partition ``c`` that every block meets in
     ell points or none, for callers that have already verified the design,
     the flag-transitive group and the invariant partition."""
-    num_parts = c.num_parts
-    part_size = c.part_size
-    x_linear = params.k - 1 - num_parts * (ell - 1)
-    if (params.k - ell) % part_size != 0:
-        raise DesignError(
-            "inconsistent x: k - ell = %d not divisible by c = %d"
-            % (params.k - ell, part_size)
-        )
-    x_split = (params.k - ell) // part_size
-    if x_linear != x_split:
-        raise DesignError(
-            "inconsistent x: k-1-d(ell-1) = %d but (k-ell)/c = %d"
-            % (x_linear, x_split)
-        )
     t = FeasibleTuple(
-        lam=params.lam,
-        v=params.v,
-        k=params.k,
-        r=params.r,
-        b=params.b,
-        c=part_size,
-        d=num_parts,
-        ell=ell,
-        x=x_linear,
+        lam=params.lam, v=params.v, k=params.k, r=params.r, b=params.b,
+        c=c.part_size, d=c.num_parts, ell=ell,
+        x=params.k - 1 - c.num_parts * (ell - 1),
     )
     failures = condition_failures(t)
     if failures:

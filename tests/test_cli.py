@@ -73,6 +73,16 @@ def test_feasible_lambda4_discrepancies():
     assert "flag-count" in row435["status"]
 
 
+def test_feasible_table_cross_checks_the_enumerator(monkeypatch):
+    """A printed row that passes every condition once r is forced must be
+    one the enumerator emitted."""
+    tuples = feasibility.feasible_tuples(4)
+    monkeypatch.setattr(feasibility, "feasible_tuples",
+                        lambda lam: [t for t in tuples if t.v != 196])
+    with pytest.raises(AssertionError, match="v=196"):
+        cli.feasible_table_rows(4)
+
+
 def test_feasible_csv():
     code, text = run_cli(["feasible", "--lambda", "2", "--format", "csv"])
     assert code == 0

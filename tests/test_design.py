@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 import ftdesigns
-from ftdesigns import design
+from ftdesigns import design, feasibility
 from ftdesigns.autgrp import automorphism_group
 from ftdesigns.construct import (
     construction_36,
@@ -36,7 +36,7 @@ from ftdesigns.design import (
     parse_design_text,
     tuple_of,
 )
-from ftdesigns.perm import PermGroup, Permutation, orbits_on, parse_cycles
+from ftdesigns.perm import BlockSystem, PermGroup, Permutation, orbits_on, parse_cycles
 
 
 def naive_pair_check(d):
@@ -305,7 +305,10 @@ def test_intersection_profile():
 def test_intersection_profile_non_constant():
     c4 = PermGroup([parse_cycles("(1,2,3,4)", 4)])
     prof = intersection_profile(Design(4, [(1, 3), (1, 2)]), c4.block_systems()[0])
-    assert not prof.constant and prof.witness is not None
+    # (block index, part index, size, ell): block (1, 3) is part {1, 3}
+    assert not prof.constant and prof.witness == (1, 0, 2, 1)
+    with pytest.raises(AssertionError, match="no nonempty"):
+        intersection_profile(Design(4, []), c4.block_systems()[0])
 
 
 def test_tuple_of_golden():
@@ -318,8 +321,26 @@ def test_tuple_of_golden():
     t = tuple_of(projective_design(3), semilinear_group_15(),
                  semilinear_group_15().block_systems()[0])
     assert (t.lam, t.v, t.k, t.r, t.b, t.c, t.d, t.ell) == (4, 15, 8, 8, 15, 3, 5, 2)
-    # both x-formulas agree here: x = k-1-d(ell-1) = 2 and k = xc+ell = 2*3+2
+    # x = k-1-d(ell-1) = 2, and block-size-split holds: k = xc+ell = 2*3+2
     assert t.x == 2
+
+
+def test_assemble_tuple_names_block_size_split():
+    """c = 9 does not divide k - ell = 6, so no x gives k = xc + ell."""
+    params = check_2_design(construction_36())
+    nine = BlockSystem(36, [range(i, i + 9) for i in (1, 10, 19, 28)])
+    with pytest.raises(DesignError,
+                       match="feasibility condition failed: .*block-size-split"):
+        design.assemble_tuple(params, nine, 2)
+
+
+def test_check_2_design_reads_conditions_by_name(monkeypatch):
+    """check_2_design evaluates feasibility.CONDITIONS, not its own copy."""
+    monkeypatch.setitem(feasibility.CONDITIONS, "flag-count", lambda t: False)
+    with pytest.raises(NotTwoDesignError) as err:
+        check_2_design(construction_36())
+    assert err.value.condition == "flag-count"
+    assert err.value.witness.as_tuple() == (36, 90, 8, 20, 4)
 
 
 def test_96_point_profiles():

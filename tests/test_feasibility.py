@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -51,6 +52,25 @@ LAMBDA4_TABLE = [
 ]
 
 
+def forced_tuple(lam, ell, x, k):
+    """The tuple that (lambda, ell, x, k) force by c = (k-ell)/x,
+    r = lambda(c-1)/(ell-1), d = rx/lambda + 1, v = cd and b = vr/k, or None
+    when a step is not a positive integer; no other condition is applied."""
+    if k <= ell or (k - ell) % x:
+        return None
+    c = (k - ell) // x
+    if (lam * (c - 1)) % (ell - 1):
+        return None
+    r = lam * (c - 1) // (ell - 1)
+    if (r * x) % lam:
+        return None
+    d = r * x // lam + 1
+    if (c * d * r) % k:
+        return None
+    return FeasibleTuple(lam=lam, v=c * d, k=k, r=r, b=c * d * r // k, c=c, d=d,
+                         ell=ell, x=x)
+
+
 def brute_force_tuples(lam):
     """Interval oracle: iterate ell in [2,lam], x in [1,lam-1], k in
     [3, 2*lam^2*(lam+1)], derive the forced parameters, and keep tuples that
@@ -60,25 +80,27 @@ def brute_force_tuples(lam):
     for ell in range(2, lam + 1):
         for x in range(1, lam):
             for k in range(3, kmax + 1):
-                if (k - ell) % x:
-                    continue
-                c = (k - ell) // x
-                if c < 1:
-                    continue
-                if (lam * (c - 1)) % (ell - 1):
-                    continue
-                r = lam * (c - 1) // (ell - 1)
-                if (r * x) % lam:
-                    continue
-                d = r * x // lam + 1
-                v = c * d
-                if (v * r) % k:
-                    continue
-                b = v * r // k
-                t = FeasibleTuple(lam=lam, v=v, k=k, r=r, b=b, c=c, d=d, ell=ell, x=x)
-                if not condition_failures(t):
+                t = forced_tuple(lam, ell, x, k)
+                if t is not None and not condition_failures(t):
                     out.add(t)
     return out
+
+
+def test_enumerator_matches_conditions_up_to_lambda_40():
+    """The enumerator's inline checks keep exactly the tuples forced by an
+    admissible (ell, x) and a divisor k of lambda*ell*(x+1)*(x+ell) that
+    pass condition_failures, for every lambda that ``bounds 2 40`` runs."""
+    for lam in range(2, 41):
+        reference = []
+        for ell, x in enumerate_lx(lam):
+            n = lam * ell * (x + 1) * (x + ell)
+            small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+            for k in set(small) | {n // i for i in small}:
+                t = forced_tuple(lam, ell, x, k)
+                if t is not None and not condition_failures(t):
+                    reference.append(t)
+        reference.sort(key=FeasibleTuple.sort_key)
+        assert feasible_tuples(lam) == reference, lam
 
 
 def test_enumerate_lx():
