@@ -119,14 +119,21 @@ class _Search:
 
     def _initial_cells(self):
         """Points, then blocks, split by (degree, sorted counts of common
-        neighbors with each other vertex of the same class), in key order."""
+        neighbors with each other vertex of the same class), in key order.
+        Each unordered pair's count is taken once and added to both lists."""
         adj = self.adj
         cells = []
         for verts in (range(self.v), range(self.v, self.v + self.b)):
+            common = {u: [] for u in verts}
+            for i, u in enumerate(verts):
+                au, cu = adj[u], common[u]
+                for w in verts[i + 1 :]:
+                    c = (au & adj[w]).bit_count()
+                    cu.append(c)
+                    common[w].append(c)
             groups = {}
             for u in verts:
-                common = sorted((adj[u] & adj[w]).bit_count() for w in verts if w != u)
-                groups.setdefault((adj[u].bit_count(), tuple(common)), []).append(u)
+                groups.setdefault((adj[u].bit_count(), tuple(sorted(common[u]))), []).append(u)
             cells.extend(tuple(groups[key]) for key in sorted(groups))
         return tuple(cells)
 

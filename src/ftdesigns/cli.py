@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import autgrp, construct, design, feasibility, perm
 
@@ -411,7 +412,11 @@ def _global_options(parser, suppress):
     return parser
 
 
+@cache
 def build_parser():
+    """The parser, built once per process (``parse_args`` leaves it as it is),
+    so it keeps the ``cmd_*`` functions and ``autgrp.DEFAULT_NODE_CAP`` of
+    the first call: patching either later has no effect, and no test does."""
     common = _global_options(argparse.ArgumentParser(add_help=False), suppress=True)
 
     parser = argparse.ArgumentParser(
@@ -458,8 +463,7 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
     except InputError as exc:

@@ -262,10 +262,11 @@ def feasible_tuples(lam: int):
             # The remaining conditions, checked inline rather than through
             # condition_failures: lambdas 2..40 reach this point 6,716 times,
             # and the calls (about 5 us each) took them from 0.09 to 0.13 s
-            # on a 2-core host.  A test pins this block to CONDITIONS.
+            # on a 2-core host.  A test pins this block to CONDITIONS.  Two
+            # conditions are identities here, so they are not tested: k = cx + ell
+            # and d - 1 = x(c-1)/(ell-1) give k - 1 - d(ell-1) = x, and
+            # lambda(v-1) = lambda(cd-1) = lambda(c-1)(cx+ell-1)/(ell-1) = r(k-1).
             if not (2 < k < v and 1 < c < v and 1 < d < v):
-                continue
-            if r * (k - 1) != lam * (v - 1):
                 continue
             if b < v or r < k or r * r <= lam * v:
                 continue
@@ -274,8 +275,6 @@ def feasible_tuples(lam: int):
             if num % den != 0 or (num // den) % k != 0:
                 continue
             if c * slack < lam + ell * (ell - 1):
-                continue
-            if k - 1 - d * (ell - 1) != x:
                 continue
             found.append(
                 FeasibleTuple(lam=lam, v=v, k=k, r=r, b=b, c=c, d=d, ell=ell, x=x)

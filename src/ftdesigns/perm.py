@@ -3,9 +3,13 @@
 Permutations are stored as image tables over 1-based points.  Groups carry a
 base and strong generating set built and grown only by ``PermGroup.extend``
 (incremental Schreier-Sims; new base points are the smallest points moved by
-each new residue).  This gives exact orders, membership tests, orbits,
-setwise stabilizers and invariant partitions at the degrees used in this
-package.  All orders are plain Python integers, so nothing overflows.
+each new residue).  The chain holds padded image tables ``(0,) + images``, so
+points stay 1-based and the product u*g (g after u) is
+``tuple([g[x] for x in u])``; ``extend``, ``sift``, ``contains``,
+``strong_generators`` and ``basic_orbits`` convert at the boundary, so they
+take and give Permutations.  This gives exact orders, membership tests,
+orbits, setwise stabilizers and invariant partitions at the degrees used in
+this package.  All orders are plain Python integers, so nothing overflows.
 
 Orbits of points, point sets, bitmasks, flags and search vertices come
 from one routine, ``closure`` (Holt, Eick & O'Brien, *Handbook of
@@ -71,12 +75,6 @@ class Permutation:
 
     def is_identity(self):
         return self.images == _identity_images(len(self.images))
-
-    def min_moved(self):
-        for i, j in enumerate(self.images, start=1):
-            if i != j:
-                return i
-        return None
 
     def image_of_set(self, points):
         if points and min(points) < 1:
@@ -236,10 +234,10 @@ class BlockSystem:
 class _Level:
     __slots__ = ("point", "gens", "transversal", "inverses", "orbit_list", "done")
 
-    def __init__(self, point, degree):
+    def __init__(self, point, identity):
         self.point = point
         self.gens = []  # the strong generators that fix the earlier base points
-        self.transversal = {point: Permutation.identity(degree)}
+        self.transversal = {point: identity}
         self.inverses = dict(self.transversal)  # orbit point -> transversal[q]^-1
         self.orbit_list = [point]
         self.done = {point: 0}  # orbit point p -> gens[:done[p]] are paired with p
@@ -262,6 +260,7 @@ class PermGroup:
             degree = generators[0].degree
         self.degree = degree
         self.generators = ()
+        self._identity = tuple(range(degree + 1))
         self._levels = []
         for g in generators:
             self.extend(g)
@@ -283,24 +282,26 @@ class PermGroup:
         that level is a new one, based at the smallest point h moves."""
         for i, level in enumerate(self._levels):
             level.gens.append(h)
-            if h(level.point) != level.point:
+            if h[level.point] != level.point:
                 return i
-        self._levels.append(_Level(h.min_moved(), self.degree))
+        point = next(x for x in range(1, self.degree + 1) if h[x] != x)
+        self._levels.append(_Level(point, self._identity))
         self._levels[-1].gens.append(h)
         return len(self._levels) - 1
 
     def _sift_from(self, i, h):
         """Residue of h through the stabilizer chain from level i down."""
+        identity = self._identity
         for level in self._levels[i:]:
-            if h.is_identity():
+            if h == identity:
                 return h
-            img = h(level.point)
+            img = h[level.point]
             if img == level.point:
                 continue
             u_inv = level.inverses.get(img)
             if u_inv is None:
                 return h
-            h = h * u_inv
+            h = tuple([u_inv[x] for x in h])
         return h
 
     def _next_residue(self, i):
@@ -308,21 +309,26 @@ class PermGroup:
         generator not yet sifted through the deeper levels; returns the
         first nontrivial residue, or None once level i is complete."""
         level = self._levels[i]
-        gens, transversal, done = level.gens, level.transversal, level.done
+        gens, transversal, inverses = level.gens, level.transversal, level.inverses
+        done, identity = level.done, self._identity
         for p in level.orbit_list:  # grows while the loop runs
             up = transversal[p]
-            for k in range(done[p], len(gens)):
-                q = gens[k](p)
-                ug = up * gens[k]
+            for k, g in enumerate(gens[done[p]:], done[p]):
+                q = g[p]
+                ug = tuple([g[x] for x in up])
                 if q not in transversal:
                     transversal[q] = ug
-                    level.inverses[q] = ug.inverse()
+                    inv = [0] * len(ug)
+                    for x, y in enumerate(ug):
+                        inv[y] = x
+                    inverses[q] = tuple(inv)
                     level.orbit_list.append(q)
                     done[q] = 0
                 # the Schreier generator ug * inverses[q] is trivial iff ug == transversal[q]
-                elif ug.images != transversal[q].images:
-                    residue = self._sift_from(i + 1, ug * level.inverses[q])
-                    if not residue.is_identity():
+                elif ug != transversal[q]:
+                    u_inv = inverses[q]
+                    residue = self._sift_from(i + 1, tuple([u_inv[x] for x in ug]))
+                    if residue != identity:
                         done[p] = k + 1
                         return residue
             done[p] = len(gens)
@@ -339,8 +345,8 @@ class PermGroup:
         are sifted."""
         if g.degree != self.degree:
             raise GroupError("generator degree %d does not match %d" % (g.degree, self.degree))
-        residue = self.sift(g)
-        if residue.is_identity():
+        residue = self._sift_from(0, (0,) + g.images)
+        if residue == self._identity:
             return False
         self.generators += (g,)
         i = self._place_gen(residue)
@@ -364,7 +370,7 @@ class PermGroup:
 
     @property
     def strong_generators(self):
-        return tuple(self._levels[0].gens) if self._levels else ()
+        return tuple(_trusted(h[1:]) for h in self._levels[0].gens) if self._levels else ()
 
     @property
     def basic_orbits(self):
@@ -373,7 +379,8 @@ class PermGroup:
         Each transversal entry maps an orbit point q to a group element
         carrying the base point to q, witnessing orbit membership."""
         return tuple(
-            (level.point, tuple(level.orbit_list), dict(level.transversal))
+            (level.point, tuple(level.orbit_list),
+             {q: _trusted(u[1:]) for q, u in level.transversal.items()})
             for level in self._levels
         )
 
@@ -385,12 +392,14 @@ class PermGroup:
 
     def sift(self, p):
         """Residue of p through the stabilizer chain; identity iff p is a member."""
-        return self._sift_from(0, p)
+        if p.degree != self.degree:
+            raise GroupError("permutation degree %d does not match %d" % (p.degree, self.degree))
+        return _trusted(self._sift_from(0, (0,) + p.images)[1:])
 
     def contains(self, p):
         if p.degree != self.degree:
             return False
-        return self.sift(p).is_identity()
+        return self._sift_from(0, (0,) + p.images) == self._identity
 
     def __contains__(self, p):
         return self.contains(p)

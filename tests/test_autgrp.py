@@ -394,12 +394,35 @@ GOLDEN_AUT = {
         "(2,3)(8,9)(10,13)(14,15)", "(2,3)(4,5)(7,11)(8,10)(9,13)(14,15)",
         "(2,7)(3,4)(5,14)(11,15)", "(4,15)(6,8)(7,14)(9,12)",
         "(5,6)(10,14)(11,12)(13,15)", "(1,2)(7,8)(11,13)(12,15)"]},
+    # The search finds 7 automorphisms here; the greedy filter keeps 5.
+    ("d96-h2-1", 2): {"order": 138240, "nodes_explored": 34, "generators": [
+        "(4,6,36)(5,47,21)(7,13,73)(8,22,70)(9,11,86)(10,18,30)(12,63,64)(14,17,43)"
+        "(15,34,78)(16,24,81)(19,87,31)(23,41,33)(25,84,91)(26,75,37)(27,44,69)(28,42,82)"
+        "(29,71,92)(32,93,52)(38,77,53)(39,58,54)(40,79,80)(45,66,46)(48,83,56)(50,76,67)"
+        "(51,62,57)(59,68,89)(60,85,96)(65,90,72)(74,94,88)",
+        "(4,42)(6,28)(8,51)(10,85)(11,86)(12,46)(13,73)(14,76)(15,58)(16,24)(17,50)"
+        "(18,60)(19,65)(20,61)(21,47)(22,57)(25,91)(27,92)(29,69)(30,96)(31,90)(33,41)"
+        "(34,39)(35,49)(36,82)(37,75)(38,80)(40,53)(43,67)(44,71)(45,64)(52,93)(54,78)"
+        "(56,83)(59,89)(62,70)(63,66)(72,87)(74,88)(77,79)",
+        "(2,4,49,93,35,28)(3,61,20)(5,21,70,22,62,51)(6,82,52,36,42,32)(7,73,43,17,67,76)"
+        "(8,11,57,86,47,9)(10,64,46,60,19,72)(12,69,85,71,65,24)(13,84,14,91,50,25)"
+        "(15,34,59,68,54,39)(16,77,44,75,29,40)(18,53,45,37,87,79)(23,89,33,58,41,78)"
+        "(26,63,80,96,38,90)(27,30,92,66,81,31)(48,83,56)(55,88)(74,94)",
+        "(3,7)(4,42)(5,26)(6,75)(8,38)(9,32)(10,40)(11,45)(12,46)(13,73)(14,17)(15,88)"
+        "(18,57)(19,30)(20,43)(21,36)(22,60)(23,55)(27,44)(28,37)(29,35)(31,79)(33,41)"
+        "(34,56)(39,83)(47,82)(48,94)(49,69)(50,76)(51,80)(52,66)(53,85)(54,78)(58,74)"
+        "(59,89)(61,67)(62,87)(63,93)(64,86)(65,96)(68,95)(70,72)(71,92)(77,90)",
+        "(1,2)(3,55)(4,28)(5,21)(6,82)(7,33)(9,56)(10,80)(11,83)(12,58)(13,41)(14,71)"
+        "(15,45)(16,91)(17,29)(18,79)(19,87)(20,35)(22,70)(23,73)(24,84)(25,81)(26,37)"
+        "(27,50)(30,40)(32,74)(34,46)(36,42)(38,96)(39,63)(43,92)(44,67)(48,86)(49,61)"
+        "(51,62)(52,94)(53,60)(54,64)(59,68)(66,78)(69,76)(72,90)(77,85)(88,93)"]},
 }
 
 
 def test_aut_json_golden(tmp_path):
     """Exact `ftdesigns --format json aut` payloads (minus elapsed_s)."""
-    base = {"d36": construction_36(), "pg3": projective_design(3)}
+    base = {"d36": construction_36(), "pg3": projective_design(3),
+            "d96-h2-1": design_96("h2", 1)[1]}
     for (name, seed), want in GOLDEN_AUT.items():
         path = tmp_path / ("%s-%d.dsg" % (name, seed))
         path.write_text(format_design_text(_relabeled(base[name], seed)))
@@ -409,6 +432,13 @@ def test_aut_json_golden(tmp_path):
         del payload["elapsed_s"]
         assert payload == dict(want, schema="ftdesigns/1", command="aut",
                                num_generators=len(want["generators"]))
+
+
+def test_greedy_filter_drops_found_automorphisms():
+    """On the d96 h2/1 golden labeling the search finds 7 automorphisms, 2
+    more than the generators that ``GOLDEN_AUT`` pins."""
+    d = _relabeled(design_96("h2", 1)[1], 2)
+    assert len(_Search(d, 10**7).run().autos) == 7
 
 
 def test_certificate_golden():

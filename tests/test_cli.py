@@ -500,6 +500,25 @@ def test_global_flags_both_positions(tmp_path):
     assert json.loads(text1) == json.loads(text2)
 
 
+def test_cached_parser_keeps_no_state(tmp_path):
+    """One parser serves every call in a process, and the flags and errors
+    of one call do not reach the next."""
+    assert cli.build_parser() is cli.build_parser()
+    dpath = tmp_path / "pg3.dsg"
+    dpath.write_text(format_design_text(projective_design(3)))
+    code, text = run_cli(["--format", "json", "aut", str(dpath)])
+    assert code == 0 and json.loads(text)["order"] == 20160
+    code, text = run_cli(["aut", str(dpath)])
+    assert code == 0 and text.startswith("automorphism group order: 20160\n")
+    assert run_cli(["--node-cap", "1", "aut", str(dpath)])[0] == cli.EXIT_RESOURCE_CAP
+    assert run_cli(["aut", str(dpath)])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["aut", str(dpath), "--format", "yaml"])
+    assert exc.value.code == cli.EXIT_INPUT_ERROR
+    code, text = run_cli(["aut", str(dpath)])
+    assert code == 0 and text.startswith("automorphism group order: 20160\n")
+
+
 # -- golden outputs ----------------------------------------------------------
 
 # Exact stdout and exit code of each case in `_golden_cases`, captured before

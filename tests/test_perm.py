@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from ftdesigns.construct import (
     semilinear_group_15,
     twisted_diagonal_group,
 )
+from ftdesigns.design import format_design_text
 from ftdesigns.perm import (
     CycleParseError,
     GroupError,
@@ -31,6 +33,7 @@ from ftdesigns.perm import (
     parse_cycles,
     parse_group_text,
 )
+from test_autgrp import GOLDEN_AUT, _relabeled
 
 
 def S6():
@@ -560,6 +563,8 @@ def test_extend():
     assert not g.extend(parse_cycles("(3,4)", 6))
     with pytest.raises(GroupError):
         g.extend(Permutation.identity(5))
+    with pytest.raises(GroupError):
+        g.sift(parse_cycles("(1,2)", 5))
     grown = PermGroup([], degree=8)
     assert grown.extend(parse_cycles("(1,2)", 8))
     assert grown.extend(parse_cycles("(1,2,3,4,5,6,7,8)", 8))
@@ -644,12 +649,13 @@ def test_group_file_errors():
     assert parse_group_text("degree 4\n(1,2,3,4)\n", degree=4).order() == 4
 
 
-def test_perm_and_design_checks_survive_python_O():
+def test_perm_and_design_checks_survive_python_O(tmp_path):
     """The orbit-stabilizer identity, the two block-system checks, the
     Schreier-Sims placement check, the intersection-profile check and the
     check that a flag orbit stays within the flags raise under `python -O`.
     For the last, `design.flags` is cut to its first flag, so the orbit of
-    that flag leaves the items `orbits_on` was given."""
+    that flag leaves the items `orbits_on` was given.  `python -O -m
+    ftdesigns aut` on a pg 3 file prints its golden group."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     code = r"""
 from ftdesigns import design
@@ -673,7 +679,8 @@ unequal._min_partition = lambda seed: ((1, 2, 3), (4,))
 not_invariant._min_partition = lambda seed: ((1, 2), (3, 4))
 swap = Permutation([2, 1, 3, 4])
 misplaced = cyclic4()
-misplaced._sift_from = lambda i, h: swap  # every residue moves base point 1
+swap_table = (0,) + swap.images  # the chain's form of swap
+misplaced._sift_from = lambda i, h: swap_table  # every residue moves base point 1
 all_flags = design.flags
 design.flags = lambda d: all_flags(d)[:1]
 square = Design(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -691,3 +698,14 @@ print(raises(wrong_order.orbit_of_set, [1]),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"] * 6
+    path = tmp_path / "pg3-1.dsg"
+    path.write_text(format_design_text(_relabeled(projective_design(3), 1)))
+    proc = subprocess.run([sys.executable, "-O", "-m", "ftdesigns", "--format", "json",
+                           "aut", str(path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    del payload["elapsed_s"]
+    want = GOLDEN_AUT[("pg3", 1)]
+    assert payload == dict(want, schema="ftdesigns/1", command="aut",
+                           num_generators=len(want["generators"]))
