@@ -234,17 +234,6 @@ def _read_text(path):
         raise InputError("cannot read %s: %s" % (path, exc)) from None
 
 
-# The counting conditions verify reports for a 2-design, as (condition name,
-# formula shown in the check label, provenance).
-_COUNTING_FINDINGS = (
-    ("replication-count", "r(k-1)=lambda(v-1)", "trivial"),
-    ("flag-count", "bk=vr", "trivial"),
-    ("block-lower-bound", "b>=v", "derived"),
-    ("replication-lower-bound", "r>=k", "derived"),
-    ("replication-square", "r^2>lambda*v", "derived"),
-)
-
-
 def _verify_design(report, d):
     try:
         params = design.check_2_design(d)
@@ -256,7 +245,7 @@ def _verify_design(report, d):
     report.add("parameters (v,b,k,r,lambda)", params.as_tuple(), params.as_tuple(),
                "derived", informational=True)
     report.add("nontrivial (2<k<v)", True, params.nontrivial, "derived")
-    for name, formula, provenance in _COUNTING_FINDINGS:
+    for name, formula, provenance in design._DESIGN_CONDITIONS:
         report.add("%s %s" % (name, formula), True,
                    feasibility.CONDITIONS[name](params), provenance)
     return params
@@ -300,9 +289,6 @@ def cmd_verify(args, out):
                         continue
                     report.add("feasible-tuple %s" % label,
                                t.as_dict(), t.as_dict(), "derived")
-                    failures = feasibility.condition_failures(t)
-                    report.add("feasibility-conditions %s" % label, [],
-                               failures, "derived")
     report.render(out, args.format, t0)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 

@@ -138,9 +138,16 @@ class IntersectionProfile:
 
 
 # The feasibility conditions that check_2_design tests on (v, b, k, r,
-# lambda), in order; all but the first two bind only when 2 < k < v.
-_DESIGN_CONDITIONS = ("replication-count", "flag-count", "block-lower-bound",
-                      "replication-lower-bound", "replication-square")
+# lambda), in order, as (name, formula, provenance); verify reports them
+# under these labels.  The "trivial" identities bind for every design, the
+# "derived" inequalities only when 2 < k < v.
+_DESIGN_CONDITIONS = (
+    ("replication-count", "r(k-1)=lambda(v-1)", "trivial"),
+    ("flag-count", "bk=vr", "trivial"),
+    ("block-lower-bound", "b>=v", "derived"),
+    ("replication-lower-bound", "r>=k", "derived"),
+    ("replication-square", "r^2>lambda*v", "derived"),
+)
 
 
 def check_2_design(d: Design) -> DesignParameters:
@@ -186,9 +193,9 @@ def check_2_design(d: Design) -> DesignParameters:
         if rep != r:
             raise NotTwoDesignError("non-constant-replication", (1, r, p, rep))
     params = DesignParameters(v=v, b=d.b, k=k, r=r, lam=lam)
-    names = _DESIGN_CONDITIONS if params.nontrivial else _DESIGN_CONDITIONS[:2]
-    for name in names:
-        if not CONDITIONS[name](params):
+    for name, _, provenance in _DESIGN_CONDITIONS:
+        binds = provenance == "trivial" or params.nontrivial
+        if binds and not CONDITIONS[name](params):
             raise NotTwoDesignError(name, params)
     return params
 
@@ -310,9 +317,9 @@ def tuple_of(d: Design, g: PermGroup, c: BlockSystem) -> FeasibleTuple:
     transitive, orbits = is_flag_transitive(g, d)
     if not transitive:
         raise DesignError("group is not flag-transitive (%d flag orbits)" % orbits)
+    profile = intersection_profile(d, c)  # raises first on a wrong degree
     if not c.is_invariant_under(g.generators):
         raise DesignError("partition is not invariant under the group")
-    profile = intersection_profile(d, c)
     if not profile.constant:
         raise DesignError(
             "block/part intersections are not constant: %r" % (profile.witness,)

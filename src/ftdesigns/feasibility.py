@@ -190,10 +190,10 @@ CONDITIONS = {
 def condition_failures(t: FeasibleTuple):
     """Names of all violated feasibility conditions (empty when feasible).
 
-    ``CONDITIONS`` is the one place each condition is written.  This
-    validator tests them directly on the finished tuple; the enumerator
-    below checks the same conditions inline for speed, and a test pins its
-    output to this validator for every lambda from 2 to 40.
+    ``CONDITIONS`` is the one place each condition is written, and this
+    validator tests them all on a finished tuple.  ``feasible_tuples`` tests
+    only those its derivation does not force, and a test pins its output to
+    this validator.
     """
     return [name for name, check in CONDITIONS.items() if not check(t)]
 
@@ -228,10 +228,12 @@ def feasible_tuples(lam: int):
     For each admissible (ell, x) the block size k runs over the divisors of
     lambda*ell*(x+1)*(x+ell) (a necessary divisibility), and the remaining
     parameters are forced: c = (k-ell)/x, r = lambda(c-1)/(ell-1),
-    d = rx/lambda + 1, v = cd, b = vr/k.  Candidates failing any integrality
-    step or any feasibility condition are dropped.  Output is sorted by
-    (v, c, k) and is deterministic.  Raises LambdaCapExceeded above
-    MAX_LAMBDA.
+    d = rx/lambda + 1, v = cd, b = vr/k.  Candidates are dropped when k is
+    not a multiple of ell, below the block-size floor, gives c <= ell (that
+    is, k >= v) or fails an integrality step; every other condition in
+    ``CONDITIONS`` then holds, as the loop's comment proves.  Output is
+    sorted by (v, c, k) and is deterministic.  Raises LambdaCapExceeded
+    above MAX_LAMBDA.
     """
     if lam < 2:
         raise ValueError("lambda must be at least 2")
@@ -247,7 +249,7 @@ def feasible_tuples(lam: int):
             if (k - ell) % x != 0:
                 continue
             c = (k - ell) // x
-            if c <= 1:
+            if c <= ell:  # k < v; every other condition is forced, see below
                 continue
             if (lam * (c - 1)) % (ell - 1) != 0:
                 continue
@@ -259,23 +261,24 @@ def feasible_tuples(lam: int):
             if (v * r) % k != 0:
                 continue
             b = v * r // k
-            # The remaining conditions, checked inline rather than through
-            # condition_failures: lambdas 2..40 reach this point 6,716 times,
-            # and the calls (about 5 us each) took them from 0.09 to 0.13 s
-            # on a 2-core host.  A test pins this block to CONDITIONS.  Two
-            # conditions are identities here, so they are not tested: k = cx + ell
-            # and d - 1 = x(c-1)/(ell-1) give k - 1 - d(ell-1) = x, and
-            # lambda(v-1) = lambda(cd-1) = lambda(c-1)(cx+ell-1)/(ell-1) = r(k-1).
-            if not (2 < k < v and 1 < c < v and 1 < d < v):
-                continue
-            if b < v or r < k or r * r <= lam * v:
-                continue
-            num = lam * c * (c - 1) * (k - (x + 1))
-            den = (ell - 1) ** 2
-            if num % den != 0 or (num // den) % k != 0:
-                continue
-            if c * slack < lam + ell * (ell - 1):
-                continue
+            # Every entry of CONDITIONS holds here.  lambda-at-least-2,
+            # x-ell-cap, k-divides-product, ell-divides-k and block-size-floor
+            # are tested above; block-size-split, part-pair-count, part-count,
+            # points-product and flag-count define c, r, d, v and b; and
+            # positive-fields holds as c > ell >= 2 and d >= 2.
+            # - x-positive: d(ell-1) = x(c-1) + ell-1, so k-1-d(ell-1) = x.
+            # - replication-count: lambda(v-1) = rxc + lambda(c-1) = r(k-1).
+            # - part-size-floor: k*slack - lambda(x+ell)
+            #   = x(c*slack - lambda - ell(ell-1)).
+            # - replication-lower-bound: (ell-1)(r-k) = c*slack - lambda
+            #   - ell(ell-1) as well; block-lower-bound: b >= v by bk = vr.
+            # - nontrivial-design: k < v iff r > lambda (replication-count)
+            #   iff c > ell, the one test not forced; k = cx + ell > 2.
+            # - replication-square: lambda*v = lambda + r(k-1) < rk <= r^2.
+            # - block-count-divisibility: k-x-1 = d(ell-1), so the number it
+            #   asks k to divide is rv, and k | rv is b's integrality.
+            # - ell-proper, nontrivial-partition: k = cx + ell > ell, and
+            #   c, d >= 2 with v = cd.
             found.append(
                 FeasibleTuple(lam=lam, v=v, k=k, r=r, b=b, c=c, d=d, ell=ell, x=x)
             )

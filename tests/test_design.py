@@ -325,6 +325,16 @@ def test_tuple_of_golden():
     assert t.x == 2
 
 
+def test_tuple_of_rejects_partition_of_wrong_degree():
+    """A partition of 6 points against a 4-point design is a DesignError,
+    raised before the invariance test reads points the group does not move."""
+    k4 = Design(4, combinations(range(1, 5), 2))
+    sym4 = PermGroup([parse_cycles("(1,2)", 4), parse_cycles("(1,2,3,4)", 4)])
+    six = BlockSystem(6, [(1, 2), (3, 4), (5, 6)])
+    with pytest.raises(DesignError, match=r"partition degree 6 != v 4"):
+        tuple_of(k4, sym4, six)
+
+
 def test_assemble_tuple_names_block_size_split():
     """c = 9 does not divide k - ell = 6, so no x gives k = xc + ell."""
     params = check_2_design(construction_36())

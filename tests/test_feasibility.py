@@ -87,10 +87,12 @@ def brute_force_tuples(lam):
 
 
 def test_enumerator_matches_conditions_up_to_lambda_40():
-    """The enumerator's inline checks keep exactly the tuples forced by an
-    admissible (ell, x) and a divisor k of lambda*ell*(x+1)*(x+ell) that
-    pass condition_failures, for every lambda that ``bounds 2 40`` runs."""
-    for lam in range(2, 41):
+    """feasible_tuples, which tests only the conditions its derivation does
+    not force, keeps exactly the tuples forced by an admissible (ell, x) and
+    a divisor k of lambda*ell*(x+1)*(x+ell) that pass every condition in
+    condition_failures: for every lambda that ``bounds 2 40`` runs, and for
+    a sample of larger lambdas up to the cap."""
+    for lam in [*range(2, 41), 41, 64, 97, 128, 199, 200]:
         reference = []
         for ell, x in enumerate_lx(lam):
             n = lam * ell * (x + 1) * (x + ell)
