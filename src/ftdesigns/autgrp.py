@@ -44,14 +44,14 @@ ResourceCapExceeded rather than returning a truncated answer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice, product
 from operator import getitem
 from typing import Optional
 
 from .construct import twisted_diagonal_group
-from .design import (Design, DesignError, NotTwoDesignError, check_2_design,
-                     check_point_cap, is_automorphism)
+from .design import (MAX_POINTS, Design, DesignError, NotTwoDesignError, PointCapExceeded,
+                     check_2_design, check_point_cap, is_automorphism)
 from .perm import PermGroup, Permutation, closure, orbits_on
 
 DEFAULT_NODE_CAP = 10**7
@@ -65,18 +65,9 @@ class ResourceCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    relabeling: Permutation  # original points -> canonical points
-    blocks: tuple  # canonical block list (sorted tuples of canonical points)
+    relabeling: Permutation = field(compare=False)  # original -> canonical points
+    blocks: tuple = field(compare=False)  # canonical block list (sorted tuples)
     certificate: bytes
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CanonicalForm)
-            and self.certificate == other.certificate
-        )
-
-    def __hash__(self):
-        return hash(self.certificate)
 
 
 @dataclass(frozen=True)
@@ -249,7 +240,12 @@ class _Search:
 
     def _handle_leaf(self, leaf):
         """Compare a leaf with the first and best leaves; returns the depth
-        of its common ancestor with the shallower one it matches, or None."""
+        of its common ancestor with the shallower one it matches, or None.
+
+        Both are earlier leaves, and two distinct leaves never have equal
+        ``order``: cells split only in place, so at their deepest common
+        ancestor the two differing individualized vertices take the same
+        position in both final orders.  So a match is never the identity."""
         jump = None
         if self.first is None:
             self.first = leaf
@@ -261,12 +257,7 @@ class _Search:
             self.best.cert,
         ):
             self.best = leaf
-        elif (
-            leaf is not self.best
-            and leaf.tokens == self.best.tokens
-            and leaf.cert == self.best.cert
-            and leaf.order != self.best.order
-        ):
+        elif leaf.tokens == self.best.tokens and leaf.cert == self.best.cert:
             self._record_auto(self.best, leaf)
             depth = _common_depth(self.best.prefix, leaf.prefix)
             jump = depth if jump is None else min(jump, depth)
@@ -331,6 +322,9 @@ def _run_search(design: Design, node_cap=DEFAULT_NODE_CAP) -> _Search:
     if design.b == 0:
         raise DesignError("design has no blocks")
     check_point_cap(design)
+    if design.b > MAX_POINTS:  # the initial coloring compares every pair of blocks
+        raise PointCapExceeded("design has %d blocks, above the cap MAX_POINTS = %d"
+                               % (design.b, MAX_POINTS))
     return _Search(design, node_cap).run()
 
 

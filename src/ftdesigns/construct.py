@@ -45,7 +45,8 @@ _DATA_CHECKSUMS = {
 }
 
 # The outer automorphism of Sym(6) used throughout, given by its images of
-# the standard generators (1,2) and (1,2,3,4,5,6).
+# the standard generators (1,2) and (1,2,3,4,5,6).  Its keys, in this order,
+# are the generators of every Sym(6) action built here.
 OUTER_AUT_IMAGES = {
     "(1,2)": "(1,4)(2,6)(3,5)",
     "(1,2,3,4,5,6)": "(1,3)(2,6,5)",
@@ -80,14 +81,8 @@ def twisted_diagonal_group():
     Generated by two permutations acting coordinate-wise: row action (1,2)
     with column action (1,4)(2,6)(3,5), and row action (1,2,3,4,5,6) with
     column action (1,3)(2,6,5)."""
-    a1 = _grid_perm(
-        parse_cycles("(1,2)", 6), parse_cycles(OUTER_AUT_IMAGES["(1,2)"], 6)
-    )
-    a2 = _grid_perm(
-        parse_cycles("(1,2,3,4,5,6)", 6),
-        parse_cycles(OUTER_AUT_IMAGES["(1,2,3,4,5,6)"], 6),
-    )
-    group = PermGroup([a1, a2])
+    group = PermGroup([_grid_perm(parse_cycles(g, 6), parse_cycles(image, 6))
+                       for g, image in OUTER_AUT_IMAGES.items()])
     if group.order() != 720:
         raise AssertionError("twisted diagonal group has order %d, not 720" % group.order())
     return group
@@ -161,12 +156,7 @@ class FrobeniusModel:
         )
 
     def group(self) -> PermGroup:
-        g = PermGroup(
-            [
-                self.induced(parse_cycles("(1,2)", 6)),
-                self.induced(parse_cycles("(1,2,3,4,5,6)", 6)),
-            ]
-        )
+        g = PermGroup([self.induced(parse_cycles(gen, 6)) for gen in OUTER_AUT_IMAGES])
         if g.order() != 720:
             raise AssertionError("coset model group has order %d, not 720" % g.order())
         return g

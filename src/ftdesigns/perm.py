@@ -21,6 +21,7 @@ grows each basic orbit inside the scan of its Schreier pairs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
 
@@ -32,10 +33,13 @@ class GroupError(ValueError):
     """Invalid group construction or use."""
 
 
+@dataclass(frozen=True, init=False)
 class Permutation:
-    """A bijection of {1..n}, stored as the tuple of images of 1..n."""
+    """A bijection of {1..n}, stored as the tuple of images of 1..n; equal
+    and hashed by that tuple, and never equal to the tuple itself."""
 
     __slots__ = ("images",)
+    images: tuple
 
     def __init__(self, images):
         images = tuple(images)
@@ -43,9 +47,6 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images are not a bijection of 1..%d" % n)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, degree):
@@ -77,6 +78,7 @@ class Permutation:
         return self.images == _identity_images(len(self.images))
 
     def image_of_set(self, points):
+        points = tuple(points)  # read an iterator once
         if points and min(points) < 1:
             raise ValueError("point %d is below 1" % min(points))
         images = self.images
@@ -103,12 +105,6 @@ class Permutation:
         from math import lcm
 
         return lcm(1, *(len(c) for c in self.cycles()))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         return "Permutation(%r, degree=%d)" % (format_cycles(self), self.degree)
@@ -178,10 +174,13 @@ def format_cycles(p):
     return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cycs)
 
 
+@dataclass(frozen=True, init=False)
 class BlockSystem:
     """A partition of {1..degree} into d parts of common size c, 1 < c < degree."""
 
     __slots__ = ("degree", "parts")
+    degree: int
+    parts: tuple  # sorted tuple of sorted parts
 
     def __init__(self, degree, parts):
         parts = tuple(tuple(sorted(part)) for part in parts)
@@ -198,9 +197,6 @@ class BlockSystem:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockSystem is immutable")
-
     @property
     def num_parts(self):
         return len(self.parts)
@@ -216,16 +212,6 @@ class BlockSystem:
                 if g.image_of_set(part) not in partset:
                     return False
         return True
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockSystem)
-            and self.degree == other.degree
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.parts))
 
     def __repr__(self):
         return "BlockSystem(c=%d, d=%d)" % (self.part_size, self.num_parts)

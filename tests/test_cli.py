@@ -363,6 +363,24 @@ def test_huge_design_hits_the_point_cap(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def test_aut_refuses_more_blocks_than_the_cap(tmp_path, capsys, monkeypatch):
+    """``aut`` on 2,049 triples of 25 points exits 3 with a message naming
+    the blocks, before the search builds its pairwise block coloring."""
+    path = tmp_path / "many.dsg"
+    triples = list(combinations(range(1, 26), 3))[: design.MAX_POINTS + 1]
+    path.write_text(format_design_text(Design(25, triples)))
+
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(autgrp, "_Search", no_search)
+    code, out = run_cli(["aut", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_RESOURCE_CAP and out == ""
+    assert "2049 blocks, above the cap MAX_POINTS = %d" % design.MAX_POINTS in err
+    assert "Traceback" not in err
+
+
 def test_point_cap_comes_after_the_no_blocks_checks(tmp_path, capsys):
     path = tmp_path / "huge.dsg"
     path.write_text("v 10000000000\n")

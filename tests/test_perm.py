@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import ftdesigns
-from ftdesigns.autgrp import automorphism_group
+from ftdesigns.autgrp import CanonicalForm, automorphism_group
 from ftdesigns.construct import (
     block_regular_group_96,
     construction_36,
@@ -22,6 +22,7 @@ from ftdesigns.construct import (
 )
 from ftdesigns.design import format_design_text
 from ftdesigns.perm import (
+    BlockSystem,
     CycleParseError,
     GroupError,
     PermGroup,
@@ -89,6 +90,45 @@ def test_points_below_1_raise():
         closure((0,), [p])
     assert p(3) == 1 and p.image_of_set({3, 1}) == {1, 2}
     assert p.image_of_set(()) == frozenset()
+
+
+def test_image_of_set_reads_an_iterator_once():
+    p = Permutation([2, 3, 1])
+    assert p.image_of_set(x for x in (1, 2)) == {2, 3}
+    assert p.image_of_set(iter(())) == frozenset()
+    with pytest.raises(ValueError, match="point 0 is below 1"):
+        p.image_of_set(iter([0]))
+
+
+def test_value_type_contract():
+    """Equal values are equal and hash equal whatever their construction
+    path, a Permutation is not its image tuple, every attribute is
+    read-only, and canonical forms compare by certificate alone."""
+    p = Permutation([2, 3, 1, 5, 4])
+    q = parse_cycles("(4,5)", 5)
+    equal = [Permutation([3, 1, 2, 4, 5]), parse_cycles("(1,3,2)", 5),
+             p.inverse() * q, (q * p).inverse()]
+    assert all(e == equal[0] and hash(e) == hash(equal[0]) for e in equal)
+    assert p * p.inverse() == Permutation.identity(5) == parse_cycles("()", 5)
+    assert p != p.images and p.images != p and p not in {p.images: 0}
+    first = BlockSystem(6, [(1, 2), (3, 4), (5, 6)])
+    second = BlockSystem(6, [(6, 5), (2, 1), (4, 3)])
+    assert first == second and hash(first) == hash(second)
+    assert first != BlockSystem(6, [(1, 3), (2, 4), (5, 6)])
+    design = construction_36()
+    for value, names in ((p, ("images", "degree", "other")),
+                         (p * q, ("images",)),
+                         (first, ("degree", "parts", "other")),
+                         (design, ("v", "blocks", "_block_set", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    form = CanonicalForm(relabeling=p, blocks=design.blocks, certificate=b"v=5;b=1;1,2")
+    twin = CanonicalForm(relabeling=q, blocks=(), certificate=b"v=5;b=1;1,2")
+    assert form == twin and hash(form) == hash(twin)
+    assert form != CanonicalForm(relabeling=p, blocks=design.blocks, certificate=b"v=5;b=1;1,3")
 
 
 def test_composition_order():
