@@ -26,6 +26,13 @@ point/block incidence structure, in the style of canonical graph labeling:
   per node, and keeps two reference leaves: the first leaf (for
   automorphism discovery) and the best (trace, certificate) leaf, whose
   labeling defines the canonical form;
+- a leaf's certificate is built only when it is compared or returned.
+  Points fill the first v positions of every leaf's order, so two leaves'
+  certificates are equal exactly when the point map between their orders
+  carries the block set onto itself (designs here are simple): a leaf with
+  the tokens of a reference leaf is tested with ``is_automorphism``, a
+  pass is a match and stores the automorphism, and only a failure on a tie
+  with the best leaf compares certificates;
 - each automorphism is stored once, keyed by its vertex image tuple; a
   child is pruned when it lies in the closure (``perm.closure``) of the
   explored siblings under the stored automorphisms fixing the
@@ -58,9 +65,15 @@ DEFAULT_NODE_CAP = 10**7
 
 
 class ResourceCapExceeded(RuntimeError):
-    def __init__(self, nodes):
+    """The search passed its node cap; ``automorphisms`` holds the point
+    automorphisms it had found, in the order found."""
+
+    def __init__(self, nodes, automorphisms):
         self.nodes = nodes
-        super().__init__("search node cap exceeded at %d nodes" % nodes)
+        self.automorphisms = tuple(automorphisms)
+        count = len(self.automorphisms)
+        super().__init__("search node cap exceeded at %d nodes with %d automorphism%s found"
+                         % (nodes, count, "" if count == 1 else "s"))
 
 
 @dataclass(frozen=True)
@@ -78,13 +91,47 @@ class AutResult:
 
 
 class _Leaf:
-    __slots__ = ("tokens", "cert", "order", "prefix")
+    """A discrete coloring reached by the search: its trace ``tokens``, the
+    vertex ``order`` it gives and the individualized vertices on its path
+    (``prefix``).  Its labeling (vertex positions, relabeled blocks and
+    certificate) is built from ``order`` on first use and kept."""
 
-    def __init__(self, tokens, cert, order, prefix):
+    __slots__ = ("tokens", "order", "prefix", "_design", "_labeling")
+
+    def __init__(self, design, tokens, order, prefix):
         self.tokens = tokens
-        self.cert = cert
         self.order = order
-        self.prefix = prefix  # the individualized vertices on its path
+        self.prefix = prefix
+        self._design = design
+        self._labeling = None
+
+    @property
+    def labeling(self):
+        if self._labeling is None:
+            self._labeling = _labeling(self._design, self.order)
+        return self._labeling
+
+    @property
+    def cert(self):
+        return self.labeling[2]
+
+
+def _labeling(design, order):
+    """Vertex positions, relabeled block list and certificate of a leaf's
+    vertex order: vertex u sits at position[u], the block list is the
+    sorted blocks with each point p relabeled position[p - 1] + 1, and the
+    certificate is its ASCII serialization."""
+    position = [0] * len(order)
+    for i, u in enumerate(order):
+        position[u] = i
+    blocks = tuple(sorted(
+        tuple(sorted(position[p - 1] + 1 for p in blk))
+        for blk in design.blocks
+    ))
+    cert = ("v=%d;b=%d;" % (design.v, design.b)).encode("ascii") + ";".join(
+        ",".join(str(p) for p in blk) for blk in blocks
+    ).encode("ascii")
+    return position, blocks, cert
 
 
 class _Search:
@@ -211,56 +258,57 @@ class _Search:
     # -- leaves -----------------------------------------------------------
 
     def _leaf(self, cells, tokens, prefix):
-        order = [cell[0] for cell in cells]
-        position = [0] * len(order)
-        for i, u in enumerate(order):
-            position[u] = i
-        blocks = sorted(
-            tuple(sorted(position[p - 1] + 1 for p in blk))
-            for blk in self.design.blocks
-        )
-        cert = ("v=%d;b=%d;" % (self.v, self.b)).encode("ascii") + ";".join(
-            ",".join(str(p) for p in blk) for blk in blocks
-        ).encode("ascii")
-        return _Leaf(tokens, cert, order, prefix)
+        return _Leaf(self.design, tokens, [cell[0] for cell in cells], prefix)
 
-    def _record_auto(self, leaf_a, leaf_b):
-        if leaf_a.order == leaf_b.order:  # the identity
-            return
+    def _match(self, earlier, leaf):
+        """Whether the point map earlier.order[i] -> leaf.order[i] is an
+        automorphism; a new one is stored, keyed by its vertex image tuple.
+
+        Points fill positions 0..v-1 of every order, so the two leaves'
+        certificates are equal exactly when this map carries the block set
+        onto itself (designs here are simple): the test decides certificate
+        equality without building either certificate."""
         gmap = [0] * (self.v + self.b)
-        for a, b in zip(leaf_a.order, leaf_b.order):
+        for a, b in zip(earlier.order, leaf.order):
             gmap[a] = b
         key = tuple(gmap)
         if key in self.autos:
-            return
+            return True
         perm = Permutation(u + 1 for u in key[: self.v])
         if not is_automorphism(self.design, perm):
-            raise AssertionError("search produced a non-automorphism; invariant bug")
+            return False
         self.autos[key] = perm
+        return True
 
     def _handle_leaf(self, leaf):
         """Compare a leaf with the first and best leaves; returns the depth
         of its common ancestor with the shallower one it matches, or None.
 
+        A leaf matches an earlier one when their tokens are equal and
+        ``_match`` finds an automorphism, which is when their certificates
+        are equal; the best leaf is the greatest (tokens, certificate), so
+        a certificate is built only on a token tie that is not a match.
         Both are earlier leaves, and two distinct leaves never have equal
         ``order``: cells split only in place, so at their deepest common
         ancestor the two differing individualized vertices take the same
         position in both final orders.  So a match is never the identity."""
+        first, best = self.first, self.best
+        if first is None:
+            self.first = self.best = leaf
+            return None
         jump = None
-        if self.first is None:
-            self.first = leaf
-        elif leaf.tokens == self.first.tokens and leaf.cert == self.first.cert:
-            self._record_auto(self.first, leaf)
-            jump = _common_depth(self.first.prefix, leaf.prefix)
-        if self.best is None or (leaf.tokens, leaf.cert) > (
-            self.best.tokens,
-            self.best.cert,
-        ):
+        first_match = leaf.tokens == first.tokens and self._match(first, leaf)
+        if first_match:
+            jump = _common_depth(first.prefix, leaf.prefix)
+        if leaf.tokens > best.tokens:
             self.best = leaf
-        elif leaf.tokens == self.best.tokens and leaf.cert == self.best.cert:
-            self._record_auto(self.best, leaf)
-            depth = _common_depth(self.best.prefix, leaf.prefix)
-            jump = depth if jump is None else min(jump, depth)
+        elif leaf.tokens == best.tokens:
+            matched = first_match if best is first else self._match(best, leaf)
+            if matched:
+                depth = _common_depth(best.prefix, leaf.prefix)
+                jump = depth if jump is None else min(jump, depth)
+            elif leaf.cert > best.cert:
+                self.best = leaf
         return jump
 
     # -- main recursion -----------------------------------------------------
@@ -276,7 +324,7 @@ class _Search:
         None, or the depth of the ancestor to unwind to."""
         self.nodes += 1
         if self.nodes > self.node_cap:
-            raise ResourceCapExceeded(self.nodes)
+            raise ResourceCapExceeded(self.nodes, self.autos.values())
         keep_first = self.first is None or tokens == self.first.tokens[: len(tokens)]
         keep_best = self.best is None or tokens >= self.best.tokens[: len(tokens)]
         if not (keep_first or keep_best):
@@ -334,20 +382,9 @@ def canonical_form(design: Design, node_cap=DEFAULT_NODE_CAP) -> CanonicalForm:
     Certificates are bit-identical across runs and platforms (pure tuple
     comparisons and ASCII serialization, no hashing) and equal exactly for
     isomorphic designs."""
-    search = _run_search(design, node_cap)
-    leaf = search.best
-    position = [0] * (design.v + design.b)
-    for i, u in enumerate(leaf.order):
-        position[u] = i
+    position, blocks, cert = _run_search(design, node_cap).best.labeling
     relabeling = Permutation(position[p] + 1 for p in range(design.v))
-    blocks = tuple(
-        sorted(
-            tuple(sorted(relabeling(p) for p in blk)) for blk in design.blocks
-        )
-    )
-    return CanonicalForm(
-        relabeling=relabeling, blocks=blocks, certificate=leaf.cert
-    )
+    return CanonicalForm(relabeling=relabeling, blocks=blocks, certificate=cert)
 
 
 def automorphism_group(design: Design, node_cap=DEFAULT_NODE_CAP) -> AutResult:

@@ -10,10 +10,11 @@ from itertools import combinations, permutations
 import pytest
 
 import ftdesigns
-from ftdesigns import cli
+from ftdesigns import autgrp, cli
 from ftdesigns.autgrp import (
     ResourceCapExceeded,
     _Search,
+    _common_depth,
     _qualifying_masks,
     are_isomorphic,
     automorphism_group,
@@ -182,6 +183,16 @@ def test_resource_cap():
         automorphism_group(construction_36(), node_cap=3)
 
 
+def test_resource_cap_keeps_the_automorphisms_found():
+    d = construction_36()
+    found = tuple(_Search(d, 10**7).run().autos.values())
+    with pytest.raises(ResourceCapExceeded) as exc:
+        automorphism_group(d, node_cap=6)
+    assert exc.value.nodes == 7
+    assert exc.value.automorphisms == found[:3]
+    assert all(is_automorphism(d, perm) for perm in exc.value.automorphisms)
+
+
 # -- refinement oracle and golden outputs ---------------------------------------
 
 
@@ -254,10 +265,133 @@ def test_refine_matches_reference(monkeypatch):
     assert len(calls) > len(designs)
 
 
-class _ReferenceSearch(_Search):
+class _EagerLeaf:
+    __slots__ = ("tokens", "cert", "order", "prefix")
+
+    def __init__(self, tokens, cert, order, prefix):
+        self.tokens = tokens
+        self.cert = cert
+        self.order = order
+        self.prefix = prefix  # the individualized vertices on its path
+
+
+class _EagerSearch(_Search):
+    """The search with its leaf code from before certificates were built on
+    first use, kept verbatim as the oracle: every leaf builds its
+    certificate, leaves match by certificate equality, and a match whose
+    map is not an automorphism raises.  Deciding matches by the
+    automorphism test must not change the best leaf, the stored
+    automorphisms or the nodes explored."""
+
+    def _leaf(self, cells, tokens, prefix):
+        order = [cell[0] for cell in cells]
+        position = [0] * len(order)
+        for i, u in enumerate(order):
+            position[u] = i
+        blocks = sorted(
+            tuple(sorted(position[p - 1] + 1 for p in blk))
+            for blk in self.design.blocks
+        )
+        cert = ("v=%d;b=%d;" % (self.v, self.b)).encode("ascii") + ";".join(
+            ",".join(str(p) for p in blk) for blk in blocks
+        ).encode("ascii")
+        return _EagerLeaf(tokens, cert, order, prefix)
+
+    def _record_auto(self, leaf_a, leaf_b):
+        if leaf_a.order == leaf_b.order:  # the identity
+            return
+        gmap = [0] * (self.v + self.b)
+        for a, b in zip(leaf_a.order, leaf_b.order):
+            gmap[a] = b
+        key = tuple(gmap)
+        if key in self.autos:
+            return
+        perm = Permutation(u + 1 for u in key[: self.v])
+        if not is_automorphism(self.design, perm):
+            raise AssertionError("search produced a non-automorphism; invariant bug")
+        self.autos[key] = perm
+
+    def _handle_leaf(self, leaf):
+        jump = None
+        if self.first is None:
+            self.first = leaf
+        elif leaf.tokens == self.first.tokens and leaf.cert == self.first.cert:
+            self._record_auto(self.first, leaf)
+            jump = _common_depth(self.first.prefix, leaf.prefix)
+        if self.best is None or (leaf.tokens, leaf.cert) > (
+            self.best.tokens,
+            self.best.cert,
+        ):
+            self.best = leaf
+        elif leaf.tokens == self.best.tokens and leaf.cert == self.best.cert:
+            self._record_auto(self.best, leaf)
+            depth = _common_depth(self.best.prefix, leaf.prefix)
+            jump = depth if jump is None else min(jump, depth)
+        return jump
+
+
+def _assert_same_as_eager(d):
+    """The search and its eager oracle agree on ``d``: best leaf, stored
+    automorphisms in the order found, and nodes explored."""
+    ref = _EagerSearch(d, 10**7).run()
+    got = _Search(d, 10**7).run()
+    assert (got.best.tokens, got.best.order) == (ref.best.tokens, ref.best.order)
+    assert got.best.cert == ref.best.cert
+    assert list(got.autos.items()) == list(ref.autos.items())
+    assert got.nodes == ref.nodes
+
+
+def test_token_ties_fall_back_to_certificates(monkeypatch):
+    """With every trace emptied, leaves tie on tokens, so the search meets
+    maps that are not automorphisms and must then order the tied leaves by
+    certificate, as the eager oracle does."""
+    refine = _Search._refine
+    monkeypatch.setattr(_Search, "_refine",
+                        lambda self, cells, splitters=None: (refine(self, cells, splitters)[0], ()))
+    match = _Search._match
+    outcomes = []
+
+    def counted(self, earlier, leaf):
+        outcomes.append(match(self, earlier, leaf))
+        return outcomes[-1]
+
+    monkeypatch.setattr(_Search, "_match", counted)
+    for d in _oracle_designs()[20:]:
+        _assert_same_as_eager(d)
+    assert outcomes.count(False) > 100 and outcomes.count(True) > 100
+
+
+def test_certificates_are_built_only_when_used(monkeypatch):
+    """`automorphism_group` builds no certificate on d36 and pg 3,
+    `canonical_form` builds one (the best leaf's), and every stored
+    automorphism is checked by `is_automorphism` once."""
+    builds, checks = [], []
+    monkeypatch.setattr(autgrp, "_labeling", _counting(autgrp._labeling, builds))
+    monkeypatch.setattr(autgrp, "is_automorphism", _counting(autgrp.is_automorphism, checks))
+    designs = _oracle_designs()
+    for d in designs[:20]:
+        found = len(_Search(d, 10**7).run().autos)
+        del checks[:]
+        automorphism_group(d)
+        assert len(checks) == found > 0
+    assert builds == []
+    for i, d in enumerate(designs, 1):
+        canonical_form(d)
+        assert len(builds) == i
+
+
+def _counting(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+class _ReferenceSearch(_EagerSearch):
     """The search before backjumping, with `_recurse` and `_handle_leaf`
-    kept verbatim (only `_leaf` now also takes the prefix, and the store of
-    automorphisms is read as a dict) as the oracle: backjumping and
+    kept verbatim (only `_leaf` now also takes the prefix, the store of
+    automorphisms is read as a dict, and the cap error carries the
+    automorphisms found) as the oracle: backjumping and
     pruning by `perm.closure` must not change the best leaf or the group
     generated."""
 
@@ -282,7 +416,7 @@ class _ReferenceSearch(_Search):
     def _recurse(self, cells, tokens, prefix):
         self.nodes += 1
         if self.nodes > self.node_cap:
-            raise ResourceCapExceeded(self.nodes)
+            raise ResourceCapExceeded(self.nodes, self.autos.values())
         keep_first = self.first is None or tokens == self.first.tokens[: len(tokens)]
         keep_best = self.best is None or tokens >= self.best.tokens[: len(tokens)]
         if not (keep_first or keep_best):
@@ -337,6 +471,7 @@ def _rebuilt_group(perms, degree):
 
 def test_search_matches_reference():
     for d in _oracle_designs():
+        _assert_same_as_eager(d)
         ref = _ReferenceSearch(d, 10**7).run()
         got = _Search(d, 10**7).run()
         assert (got.best.tokens, got.best.cert) == (ref.best.tokens, ref.best.cert)
@@ -353,7 +488,18 @@ def test_search_matches_reference():
         assert grown.order() == rebuilt.order()
 
 
-def test_search_stores_each_automorphism_once():
+def test_search_stores_each_automorphism_once(monkeypatch):
+    """Each automorphism is stored once, and the matcher never sees the
+    identity: two distinct leaves never share an order."""
+    match = _Search._match
+    calls = []
+
+    def checked(self, earlier, leaf):
+        assert earlier.order != leaf.order
+        calls.append(1)
+        return match(self, earlier, leaf)
+
+    monkeypatch.setattr(_Search, "_match", checked)
     for d in _oracle_designs():
         search = _Search(d, 10**7).run()
         identity = tuple(range(d.v + d.b))
@@ -363,11 +509,7 @@ def test_search_stores_each_automorphism_once():
             assert perm.images == tuple(u + 1 for u in key[:d.v])
             assert is_automorphism(d, perm)
         assert len(set(search.autos.values())) == len(search.autos)
-    search = _Search(projective_design(3), 10**7).run()
-    search.autos.clear()
-    search._record_auto(search.first, search.first)
-    search._record_auto(search.best, search.best)
-    assert search.autos == {}
+    assert len(calls) > 200
 
 
 def test_pg5_automorphism_group():

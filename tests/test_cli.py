@@ -449,6 +449,14 @@ def test_aut_node_cap(tmp_path):
     assert code == cli.EXIT_RESOURCE_CAP
 
 
+def test_aut_node_cap_reports_automorphisms_found(tmp_path, capsys):
+    dpath = tmp_path / "d36.dsg"
+    dpath.write_text(format_design_text(construction_36()))
+    assert run_cli(["aut", str(dpath), "--node-cap", "6"]) == (cli.EXIT_RESOURCE_CAP, "")
+    assert capsys.readouterr().err == (
+        "resource cap: search node cap exceeded at 7 nodes with 3 automorphisms found\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["aut", "{design}", "--node-cap", "-5"],
     ["aut", "{design}", "--node-cap", "0"],
