@@ -63,6 +63,7 @@ from .feasibility import (
 )
 from .perm import (
     BlockSystem,
+    BlockSystemCapExceeded,
     CycleParseError,
     GroupError,
     PermGroup,
@@ -76,6 +77,7 @@ from .perm import (
 __all__ = [
     "AutResult",
     "BlockSystem",
+    "BlockSystemCapExceeded",
     "BoundReport",
     "CanonicalForm",
     "CensusReport",

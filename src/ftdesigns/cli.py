@@ -459,7 +459,7 @@ def main(argv=None, out=None):
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (autgrp.ResourceCapExceeded, design.PointCapExceeded,
-            feasibility.LambdaCapExceeded) as exc:
+            feasibility.LambdaCapExceeded, perm.BlockSystemCapExceeded) as exc:
         print("resource cap: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE_CAP
 

@@ -11,6 +11,10 @@ take and give Permutations.  This gives exact orders, membership tests,
 orbits, setwise stabilizers and invariant partitions at the degrees used in
 this package.  All orders are plain Python integers, so nothing overflows.
 
+Block systems come from one union-find, ``_min_partition``, run on the
+action on the parts of each invariant partition that ``block_systems``
+pops; systems are keyed by their block through 1.
+
 Orbits of points, point sets, bitmasks, flags and search vertices come
 from one routine, ``closure`` (Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, 2005, 4.1) with the action passed in, and
@@ -31,6 +35,15 @@ class CycleParseError(ValueError):
 
 class GroupError(ValueError):
     """Invalid group construction or use."""
+
+
+# block systems can be exponential in number: Z2^n has one per nontrivial
+# proper subspace of GF(2)^n, 2,823 for n = 6 and 29,210 for n = 7
+MAX_BLOCK_SYSTEMS = 4096
+
+
+class BlockSystemCapExceeded(RuntimeError):
+    """A group with more than MAX_BLOCK_SYSTEMS block systems."""
 
 
 @dataclass(frozen=True, init=False)
@@ -438,73 +451,55 @@ class PermGroup:
 
     # -- invariant partitions ---------------------------------------------
 
-    def _min_partition(self, seed):
-        """Finest G-congruence with every point of seed in one part, as a
-        sorted tuple of sorted parts (may be the trivial one-part partition)."""
-        n = self.degree
-        parent = list(range(n + 1))
-        tables = [(0,) + g.images for g in self.generators]
-        root = seed[0]
-        absorbed = []  # each point whose root status ended, in merge order
-        for p in seed[1:]:
-            if p != root and parent[p] == p:
-                parent[p] = root
-                absorbed.append(p)
-        for gamma in absorbed:  # grows while the loop runs
-            delta = parent[gamma]
-            while parent[delta] != delta:
-                parent[delta] = delta = parent[parent[delta]]
-            for img in tables:
-                a, b = img[gamma], img[delta]
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a != b:
-                    if b < a:
-                        a, b = b, a
-                    parent[b] = a
-                    absorbed.append(b)
-        groups = {}
-        for p in range(1, n + 1):
-            r = p
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            groups.setdefault(r, []).append(p)
-        return tuple(sorted(tuple(part) for part in groups.values()))
-
     def block_systems(self):
         """All nontrivial invariant partitions.  Sorted by part size, then
-        lexicographically by first part.  Requires a transitive group.
+        lexicographically by first part.  Requires a transitive group, and
+        raises BlockSystemCapExceeded past MAX_BLOCK_SYSTEMS systems.
 
         Every block through point 1 is a join of the minimal blocks
         Min(1, beta) (Atkinson, *An algorithm for finding the blocks of a
         permutation group*, Math. Comp. 29, 1975).  The smallest block
         holding a block B and a point beta is a union of parts of B's
         system, so it depends only on beta's part: a worklist from the
-        discrete partition joins each found part through 1 with one point
-        of every other part, by one seeded ``_min_partition``."""
+        discrete partition joins the part through 1 with every other part
+        by one seeded ``_min_partition`` on the action on the parts (the
+        part of a part's first point's image, as the partition is
+        invariant).  A system is the orbit of its block through 1, so it
+        is keyed by that block and lifted whole only when new."""
         if not self.is_transitive():
             raise GroupError("block systems require a transitive group")
         n = self.degree
-        found = set()
+        gen_tables = [(0,) + g.images for g in self.generators]
+        where = [0] * (n + 1)  # point -> index of its part in the popped partition
+        found = {}  # block through 1 -> parts of its system
         worklist = [tuple((p,) for p in range(1, n + 1))]
         while worklist:
-            block, *others = worklist.pop()  # parts are sorted, so parts[0] holds 1
-            for other in others:
-                parts = self._min_partition(block + other[:1])
-                if 1 < len(parts) and parts not in found:
-                    found.add(parts)
-                    worklist.append(parts)
+            parts = worklist.pop()  # parts are sorted, so parts[0] holds 1
+            for i, part in enumerate(parts):
+                for p in part:
+                    where[p] = i
+            tables = [[where[g[part[0]]] for part in parts] for g in gen_tables]
+            for j in range(1, len(parts)):
+                classes = _min_partition(len(parts), tables, (0, j))
+                if len(classes) == 1:
+                    continue
+                block = tuple(sorted([p for i in classes[0] for p in parts[i]]))
+                if block in found:
+                    continue
+                if len(found) == MAX_BLOCK_SYSTEMS:
+                    raise BlockSystemCapExceeded(
+                        "%d block systems found, above the cap MAX_BLOCK_SYSTEMS = %d"
+                        % (len(found) + 1, MAX_BLOCK_SYSTEMS))
+                found[block] = joined = tuple(sorted(
+                    tuple(sorted([p for i in cls for p in parts[i]])) for cls in classes))
+                worklist.append(joined)
         systems = []
-        for parts in found:
-            sizes = {len(part) for part in parts}
-            if len(sizes) != 1:
+        for parts in found.values():
+            if len({len(part) for part in parts}) != 1:
                 raise AssertionError("congruence of a transitive group has unequal parts")
             systems.append(BlockSystem(n, parts))
-        for sys_ in systems:
-            if not sys_.is_invariant_under(self.generators):
-                raise AssertionError("block system is not invariant: %r" % (sys_.parts,))
+            if not systems[-1].is_invariant_under(self.generators):
+                raise AssertionError("block system is not invariant: %r" % (parts,))
         systems.sort(key=lambda s: (s.part_size, s.parts))
         return systems
 
@@ -514,6 +509,44 @@ class PermGroup:
             self.order(),
             len(self.generators),
         )
+
+
+def _min_partition(degree, tables, seed):
+    """Finest congruence of the action on the points 0..degree-1 given by
+    ``tables`` (each generator's list of images) with every point of seed
+    in one class.  Returns its classes, each in increasing order: the class
+    of seed[0] first, the others in order of their least points."""
+    parent = list(range(degree))
+    root = seed[0]
+    absorbed = []  # each point whose root status ended, in merge order
+    for p in seed[1:]:
+        if p != root and parent[p] == p:
+            parent[p] = root
+            absorbed.append(p)
+    for gamma in absorbed:  # grows while the loop runs
+        delta = parent[gamma]
+        while parent[delta] != delta:
+            parent[delta] = delta = parent[parent[delta]]
+        for img in tables:
+            a, b = img[gamma], img[delta]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                parent[b] = a
+                absorbed.append(b)
+    while parent[root] != root:
+        root = parent[root]
+    classes = {root: []}
+    for p in range(degree):
+        r = p
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        classes.setdefault(r, []).append(p)
+    return list(classes.values())
 
 
 # -- orbits ------------------------------------------------------------------

@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import ftdesigns
-from ftdesigns import autgrp, cli, design, feasibility
+from ftdesigns import autgrp, cli, design, feasibility, perm
 from ftdesigns.construct import construction_36, projective_design
 from ftdesigns.design import Design, format_design_text
 from ftdesigns.perm import Permutation, format_cycles, format_group_text
 from ftdesigns.construct import semilinear_group_15, twisted_diagonal_group
 
 from test_design import odd_spelling
+from test_perm import _z2
 
 
 # subprocesses import the package from the same tree as the tests
@@ -379,6 +380,25 @@ def test_aut_refuses_more_blocks_than_the_cap(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_RESOURCE_CAP and out == ""
     assert "2049 blocks, above the cap MAX_POINTS = %d" % design.MAX_POINTS in err
     assert "Traceback" not in err
+
+
+def test_verify_refuses_more_block_systems_than_the_cap(tmp_path, capsys):
+    """``verify`` on the hyperplane design of AG(7,2) with its translation
+    group Z2^7 exits 3 naming the cap: the group has 29,210 block systems,
+    one per nontrivial proper subspace of GF(2)^7.  Point p stands for the
+    vector p - 1."""
+    n = 7
+    hyperplanes = [[x + 1 for x in range(1 << n) if bin(a & x).count("1") % 2 == side]
+                   for a in range(1, 1 << n) for side in (0, 1)]
+    design_path, group_path = tmp_path / "ag72.dsg", tmp_path / "z2_7.grp"
+    design_path.write_text(format_design_text(Design(1 << n, hyperplanes)))
+    group_path.write_text(format_group_text(_z2(n)))
+    code, out = run_cli(["verify", str(design_path), str(group_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_RESOURCE_CAP and out == ""
+    assert err == ("resource cap: %d block systems found, above the cap "
+                   "MAX_BLOCK_SYSTEMS = %d\n" % (perm.MAX_BLOCK_SYSTEMS + 1,
+                                                   perm.MAX_BLOCK_SYSTEMS))
 
 
 def test_point_cap_comes_after_the_no_blocks_checks(tmp_path, capsys):

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import ftdesigns
+from ftdesigns import perm
 from ftdesigns.autgrp import CanonicalForm, automorphism_group
 from ftdesigns.construct import (
     block_regular_group_96,
@@ -23,6 +24,7 @@ from ftdesigns.construct import (
 from ftdesigns.design import format_design_text
 from ftdesigns.perm import (
     BlockSystem,
+    BlockSystemCapExceeded,
     CycleParseError,
     GroupError,
     PermGroup,
@@ -475,6 +477,13 @@ def _wreath(base, top):
     return PermGroup(gens)
 
 
+def _z2(n):
+    """The regular action of Z2^n on 2^n points: point p stands for the
+    vector p - 1, and generator i adds the i-th unit vector."""
+    return PermGroup([Permutation([(x ^ (1 << i)) + 1 for x in range(1 << n)])
+                      for i in range(n)])
+
+
 def _divisor_count(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
 
@@ -493,7 +502,7 @@ def test_block_systems_match_pairwise_join_reference():
         c3xc3,
         _wreath(s2, s3), _wreath(_cyclic(3), _cyclic(2)), _wreath(_cyclic(2), _cyclic(4)),
         _wreath(s3, s3), _wreath(_cyclic(4), _dihedral(3)), _wreath(s2, _wreath(s2, s2)),
-        _shipped("d36")[0], _shipped("pg3")[0], coset_model_group(),
+        _shipped("d36")[0], _shipped("pg3")[0], coset_model_group(), _z2(4),
     ]
     for g in groups:
         assert [s.parts for s in g.block_systems()] == _reference_block_systems(g), g
@@ -527,32 +536,83 @@ def test_block_systems_of_h1_and_h2_golden():
 def test_min_partition_matches_reference():
     """The inlined union-find roots the seed at seed[0]; the reference merges
     each seed point in turn, so repeated points and a seed[0] that is not the
-    smallest are part of the comparison."""
+    smallest are part of the comparison.  `_min_partition` runs on the point
+    action, shifted to the points 0..n-1, and puts seed[0]'s class first."""
     from ftdesigns.construct import coset_model_group
 
     rng = random.Random(20)
     for group in (_shipped("h1")[0], _shipped("h2")[0], coset_model_group()):
         points = range(1, group.degree + 1)
+        tables = [[x - 1 for x in g.images] for g in group.generators]
         seeds = [tuple(rng.sample(points, rng.randint(2, 10))) for _ in range(40)]
         seeds += [(p, q, p) for p, q in zip(rng.sample(points, 5), rng.sample(points, 5))]
         seeds += [(group.degree, 1), (group.degree, 2, 2, group.degree - 1), (5, 5)]
         for seed in seeds:
-            assert group._min_partition(seed) == _reference_min_partition(group, seed), seed
+            classes = perm._min_partition(group.degree, tables, [p - 1 for p in seed])
+            assert seed[0] - 1 in classes[0], seed
+            assert all(cls == sorted(cls) for cls in classes), seed
+            parts = tuple(sorted(tuple(p + 1 for p in cls) for cls in classes))
+            assert parts == _reference_min_partition(group, seed), seed
 
 
-def test_block_systems_call_count():
-    """The worklist joins each found part through 1 with one point of every
-    other part: (n - 1) calls from the discrete partition, then
-    num_parts - 1 for each system found."""
+def test_block_systems_call_count(monkeypatch):
+    """The worklist joins each found part through 1 with every other part:
+    (n - 1) calls from the discrete partition, then num_parts - 1 for each
+    system found."""
     from ftdesigns import construct
 
+    min_partition = perm._min_partition
     for name, want in (("h1", 1521), ("h2", 4704)):
         group = construct.block_regular_group_96(name)
         calls = []
-        min_partition = group._min_partition
-        group._min_partition = lambda seed: calls.append(seed) or min_partition(seed)
+        monkeypatch.setattr(perm, "_min_partition",
+                            lambda *args: calls.append(args) or min_partition(*args))
         systems = group.block_systems()
         assert len(calls) == want == group.degree - 1 + sum(s.num_parts - 1 for s in systems)
+
+
+def _subspace_count(n):
+    """The number of nontrivial proper subspaces of GF(2)^n: the sum of the
+    Gaussian binomials [n, k]_2 for k = 1..n-1."""
+    total = 0
+    for k in range(1, n):
+        num = den = 1
+        for i in range(k):
+            num *= 2 ** (n - i) - 1
+            den *= 2 ** (k - i) - 1
+        total += num // den
+    return total
+
+
+def test_block_systems_of_z2n_are_the_subspaces():
+    """The block systems of the regular action of Z2^n are the cosets of the
+    nontrivial proper subspaces.  Every block through 1 is closed under XOR
+    (so a subspace, as it holds the zero vector), the other parts are its
+    cosets, and the blocks are distinct and as many as the subspaces, so
+    every subspace appears once."""
+    for n, want in ((4, 65), (5, 372), (6, 2823)):
+        systems = _z2(n).block_systems()
+        assert len(systems) == want == _subspace_count(n), n
+        blocks = set()
+        for s in systems:
+            block = frozenset(p - 1 for p in s.parts[0])
+            assert 0 in block and all(x ^ y in block for x in block for y in block), s
+            cosets = {tuple(sorted((x ^ v) + 1 for x in block)) for v in range(1 << n)}
+            assert set(s.parts) == cosets, s
+            blocks.add(block)
+        assert len(blocks) == want, n
+
+
+def test_block_systems_cap(monkeypatch):
+    """More than MAX_BLOCK_SYSTEMS systems raise, naming the cap and the
+    systems found so far; exactly that many are listed."""
+    group = _shipped("h1")[0]
+    monkeypatch.setattr(perm, "MAX_BLOCK_SYSTEMS", 111)
+    assert len(group.block_systems()) == 111
+    monkeypatch.setattr(perm, "MAX_BLOCK_SYSTEMS", 110)
+    with pytest.raises(BlockSystemCapExceeded,
+                       match="^111 block systems found, above the cap MAX_BLOCK_SYSTEMS = 110$"):
+        group.block_systems()
 
 
 def test_minimal_block_systems_match_sympy():
@@ -698,7 +758,7 @@ def test_perm_and_design_checks_survive_python_O(tmp_path):
     ftdesigns aut` on a pg 3 file prints its golden group."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     code = r"""
-from ftdesigns import design
+from ftdesigns import design, perm
 from ftdesigns.design import Design, flag_orbit_count, intersection_profile
 from ftdesigns.perm import BlockSystem, PermGroup, Permutation
 assert False, "python -O did not strip asserts"
@@ -713,10 +773,21 @@ def raises(fn, *args):
 def cyclic4():
     return PermGroup([Permutation([2, 3, 4, 1])], degree=4)
 
-wrong_order, unequal, not_invariant = cyclic4(), cyclic4(), cyclic4()
+def joined_by(classes):  # block_systems of cyclic4, each join on 4 points giving classes
+    def run():
+        perm._min_partition = lambda degree, tables, seed: (
+            classes if degree == 4 else [list(range(degree))])
+        try:
+            cyclic4().block_systems()
+        finally:
+            perm._min_partition = min_partition
+    return run
+
+min_partition = perm._min_partition
+wrong_order = cyclic4()
 wrong_order.order = lambda: 7
-unequal._min_partition = lambda seed: ((1, 2, 3), (4,))
-not_invariant._min_partition = lambda seed: ((1, 2), (3, 4))
+unequal = joined_by([[0, 1, 2], [3]])
+not_invariant = joined_by([[0, 1], [2, 3]])
 swap = Permutation([2, 1, 3, 4])
 misplaced = cyclic4()
 swap_table = (0,) + swap.images  # the chain's form of swap
@@ -725,8 +796,8 @@ all_flags = design.flags
 design.flags = lambda d: all_flags(d)[:1]
 square = Design(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 print(raises(wrong_order.orbit_of_set, [1]),
-      raises(unequal.block_systems),
-      raises(not_invariant.block_systems),
+      raises(unequal),
+      raises(not_invariant),
       raises(misplaced.extend, swap),
       raises(intersection_profile, Design(4, []), BlockSystem(4, [[1, 2], [3, 4]])),
       raises(flag_orbit_count, cyclic4(), square))
