@@ -4,7 +4,8 @@ The engine is an individualization-refinement search on the two-colored
 point/block incidence structure, in the style of canonical graph labeling:
 
 - vertices are the v points followed by the b blocks, adjacency is
-  incidence, and the two color classes never mix;
+  incidence (the point rows of ``design._point_rows``, shifted past the
+  points), and the two color classes never mix;
 - the initial coloring splits points by (degree, multiset of co-block
   counts with the other points) and blocks by (size, multiset of pairwise
   intersection sizes) -- this invariant set is fixed; changing it would
@@ -25,7 +26,8 @@ point/block incidence structure, in the style of canonical graph labeling:
   cell (children in vertex order), records a label-invariant trace token
   per node, and keeps two reference leaves: the first leaf (for
   automorphism discovery) and the best (trace, certificate) leaf, whose
-  labeling defines the canonical form;
+  point order defines the canonical form: the design relabeled by it
+  (``Design.relabel``), serialized as the certificate;
 - a leaf's certificate is built only when it is compared or returned.
   Points fill the first v positions of every leaf's order, so two leaves'
   certificates are equal exactly when the point map between their orders
@@ -58,7 +60,7 @@ from typing import Optional
 
 from .construct import twisted_diagonal_group
 from .design import (MAX_POINTS, Design, DesignError, NotTwoDesignError, PointCapExceeded,
-                     check_2_design, check_point_cap, is_automorphism)
+                     _point_rows, check_2_design, check_point_cap, is_automorphism)
 from .perm import PermGroup, Permutation, closure, orbits_on
 
 DEFAULT_NODE_CAP = 10**7
@@ -93,8 +95,8 @@ class AutResult:
 class _Leaf:
     """A discrete coloring reached by the search: its trace ``tokens``, the
     vertex ``order`` it gives and the individualized vertices on its path
-    (``prefix``).  Its labeling (vertex positions, relabeled blocks and
-    certificate) is built from ``order`` on first use and kept."""
+    (``prefix``).  Its labeling, the ``CanonicalForm`` that ``order``
+    gives, is built on first use and kept."""
 
     __slots__ = ("tokens", "order", "prefix", "_design", "_labeling")
 
@@ -113,25 +115,20 @@ class _Leaf:
 
     @property
     def cert(self):
-        return self.labeling[2]
+        return self.labeling.certificate
 
 
 def _labeling(design, order):
-    """Vertex positions, relabeled block list and certificate of a leaf's
-    vertex order: vertex u sits at position[u], the block list is the
-    sorted blocks with each point p relabeled position[p - 1] + 1, and the
-    certificate is its ASCII serialization."""
-    position = [0] * len(order)
-    for i, u in enumerate(order):
-        position[u] = i
-    blocks = tuple(sorted(
-        tuple(sorted(position[p - 1] + 1 for p in blk))
-        for blk in design.blocks
-    ))
+    """The canonical form of a leaf's vertex order: the point at position
+    i of ``order`` (points fill positions 0..v-1) is relabeled i + 1, the
+    block list is the relabeled design's, and the certificate is its ASCII
+    serialization."""
+    relabeling = Permutation(u + 1 for u in order[: design.v]).inverse()
+    blocks = design.relabel(relabeling).blocks
     cert = ("v=%d;b=%d;" % (design.v, design.b)).encode("ascii") + ";".join(
         ",".join(str(p) for p in blk) for blk in blocks
     ).encode("ascii")
-    return position, blocks, cert
+    return CanonicalForm(relabeling=relabeling, blocks=blocks, certificate=cert)
 
 
 class _Search:
@@ -140,14 +137,8 @@ class _Search:
         self.node_cap = node_cap
         self.v = design.v
         self.b = design.b
-        n = self.v + self.b
-        adj = [0] * n
-        for j, blk in enumerate(design.blocks):
-            bvert = self.v + j
-            for p in blk:
-                adj[p - 1] |= 1 << bvert
-                adj[bvert] |= 1 << (p - 1)
-        self.adj = adj
+        self.adj = [row << self.v for row in _point_rows(design)] + [
+            sum(1 << (p - 1) for p in blk) for blk in design.blocks]
         self.nodes = 0
         self.first: Optional[_Leaf] = None
         self.best: Optional[_Leaf] = None
@@ -382,9 +373,7 @@ def canonical_form(design: Design, node_cap=DEFAULT_NODE_CAP) -> CanonicalForm:
     Certificates are bit-identical across runs and platforms (pure tuple
     comparisons and ASCII serialization, no hashing) and equal exactly for
     isomorphic designs."""
-    position, blocks, cert = _run_search(design, node_cap).best.labeling
-    relabeling = Permutation(position[p] + 1 for p in range(design.v))
-    return CanonicalForm(relabeling=relabeling, blocks=blocks, certificate=cert)
+    return _run_search(design, node_cap).best.labeling
 
 
 def automorphism_group(design: Design, node_cap=DEFAULT_NODE_CAP) -> AutResult:
@@ -414,8 +403,7 @@ def are_isomorphic(d1: Design, d2: Design, node_cap=DEFAULT_NODE_CAP):
     if cf1.certificate != cf2.certificate:
         return False, None
     witness = cf1.relabeling * cf2.relabeling.inverse()
-    image = {witness.image_of_set(blk) for blk in d1.blocks}
-    if image != d2.block_set:
+    if d1.relabel(witness) != d2:
         raise AssertionError("certificate matched but witness failed")
     return True, witness
 

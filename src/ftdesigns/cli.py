@@ -61,7 +61,7 @@ def _render(out, fmt, command, elapsed, body, columns, rows, lines):
 @dataclass
 class Report:
     command: str
-    status: str = "pass"  # pass | fail | open
+    status: str = "pass"  # pass | fail
     findings: list = field(default_factory=list)
 
     def add(self, check, expected, observed, provenance, anchor="", informational=False):

@@ -415,12 +415,12 @@ def repair_h1_block1():
         if len(set(block)) != 20:
             report[candidate] = "rejected: duplicate point"
             continue
-        orbit = closure([frozenset(block)], group.generators, Permutation.image_of_set)
-        if len(orbit) != 96:
-            report[candidate] = "rejected: orbit size %d" % len(orbit)
+        d = orbit_design(group, block)
+        if d.b != 96:
+            report[candidate] = "rejected: orbit size %d" % d.b
             continue
         try:
-            params = check_2_design(Design(96, orbit))
+            params = check_2_design(d)
         except NotTwoDesignError as exc:
             report[candidate] = "rejected: %s" % exc.condition
             continue

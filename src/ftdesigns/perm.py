@@ -26,7 +26,6 @@ grows each basic orbit inside the scan of its Schreier pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 
 class CycleParseError(ValueError):
@@ -88,7 +87,7 @@ class Permutation:
         return _trusted(tuple(inv))
 
     def is_identity(self):
-        return self.images == _identity_images(len(self.images))
+        return self.images == tuple(range(1, self.degree + 1))
 
     def image_of_set(self, points):
         points = tuple(points)  # read an iterator once
@@ -129,11 +128,6 @@ def _trusted(images):
     p = object.__new__(Permutation)
     object.__setattr__(p, "images", images)
     return p
-
-
-@cache
-def _identity_images(degree):
-    return tuple(range(1, degree + 1))
 
 
 def parse_cycles(text, degree):

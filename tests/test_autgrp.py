@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 import ftdesigns
-from ftdesigns import autgrp, cli
+from ftdesigns import autgrp, cli, design
 from ftdesigns.autgrp import (
     ResourceCapExceeded,
     _Search,
@@ -191,6 +191,26 @@ def test_resource_cap_keeps_the_automorphisms_found():
     assert exc.value.nodes == 7
     assert exc.value.automorphisms == found[:3]
     assert all(is_automorphism(d, perm) for perm in exc.value.automorphisms)
+
+
+def _reference_adj(d):
+    """The search's incidence rows built one incidence at a time, as the
+    search built them before it took the point rows of the design layer:
+    vertex p - 1 is point p and vertex v + j is block j."""
+    adj = [0] * (d.v + d.b)
+    for j, blk in enumerate(d.blocks):
+        for p in blk:
+            adj[p - 1] |= 1 << (d.v + j)
+            adj[d.v + j] |= 1 << (p - 1)
+    return adj
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8, 9])
+def test_search_rows_match_reference(monkeypatch, chunk):
+    monkeypatch.setattr(design, "_ROW_CHUNK", chunk)
+    for d in (projective_design(5), construction_36(), design_96("h1", 1)[1],
+              Design(3, [(1, 2)])):
+        assert _Search(d, 10**7).adj == _reference_adj(d)
 
 
 # -- refinement oracle and golden outputs ---------------------------------------
@@ -656,3 +676,22 @@ print(raises(autgrp.are_isomorphic, d, swapped),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"] * 4
+
+
+def test_cli_output_does_not_depend_on_hash_seed(tmp_path):
+    """`aut` on a relabeled d36 file and `census36` print the same JSON
+    (minus elapsed_s) under two hash seeds."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
+    path = tmp_path / "d36.dsg"
+    path.write_text(format_design_text(_relabeled(construction_36(), 3)))
+    for argv in (["aut", str(path)], ["census36"]):
+        payloads = []
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "ftdesigns", "--format", "json"] + argv,
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            payload = json.loads(proc.stdout)
+            del payload["elapsed_s"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
