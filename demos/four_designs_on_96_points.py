@@ -6,8 +6,8 @@ block had a corrupted entry ("141" on 96 points); repair_h1_block1 re-runs
 the search over the plausible corrections and exactly one yields a
 2-design.
 
-Computing the four full automorphism groups takes about 0.15 s; the whole
-demo takes about 0.6 s on a 2-core machine, of which listing the block
+Computing the four full automorphism groups takes about 0.1 s; the whole
+demo takes about 0.45 s on a 2-core machine, of which listing the block
 systems of H1 and H2 (111 and 248 systems) takes about 0.03 s and 0.1 s.
 """
 

@@ -38,8 +38,9 @@ point/block incidence structure, in the style of canonical graph labeling:
 - each automorphism is stored once, keyed by its vertex image tuple; a
   child is pruned when it lies in the closure (``perm.closure``) of the
   explored siblings under the stored automorphisms fixing the
-  individualized prefix, and the stored automorphisms generate the full
-  automorphism group;
+  individualized prefix; those fixing the first leaf's prefix[:i] generate
+  its stabilizer, so the orbit lengths along that path multiply to |Aut|
+  (``_proved_order``), the order ``PermGroup.of_order`` builds the chain to;
 - a leaf equivalent to the first or the best leaf gives an automorphism
   carrying the earlier leaf's path onto its own, so it maps the explored
   subtree below their common ancestor onto the rest of the current one:
@@ -376,18 +377,25 @@ def canonical_form(design: Design, node_cap=DEFAULT_NODE_CAP) -> CanonicalForm:
     return _run_search(design, node_cap).best.labeling
 
 
-def automorphism_group(design: Design, node_cap=DEFAULT_NODE_CAP) -> AutResult:
-    """Generators and exact order of the full point-automorphism group.
+def _proved_order(search):
+    """|Aut| from the first leaf's path: the product over depths i of the
+    orbit length of prefix[i] under the stored automorphisms fixing
+    prefix[:i], which generate that stabilizer (McKay & Piperno 2014)."""
+    order, gens = 1, list(search.autos)
+    for w in search.first.prefix:
+        order *= len(closure((w,), gens, getitem))
+        gens = [g for g in gens if g[w] == w]
+    return order
 
-    The search can discover redundant automorphisms; the returned group is
-    grown in place with ``PermGroup.extend`` from a greedily reduced
-    generating set (a discovered element is kept only if the previously
-    kept ones do not already generate it), which does not change the
-    group."""
+
+def automorphism_group(design: Design, node_cap=DEFAULT_NODE_CAP) -> AutResult:
+    """Generators and exact order of the full point-automorphism group: the
+    chain is built to the order the search proves, and the generators are
+    the automorphisms found, in order, that the chain built before them does
+    not hold, every one a greedy filter keeps (one the earlier ones do not
+    generate) and sometimes a few more."""
     search = _run_search(design, node_cap)
-    group = PermGroup((), degree=design.v)
-    for perm in search.autos.values():
-        group.extend(perm)
+    group = PermGroup.of_order(search.autos.values(), _proved_order(search), design.v)
     return AutResult(group=group, order=group.order(), nodes_explored=search.nodes)
 
 

@@ -1,9 +1,10 @@
 """Exact permutation groups on {1..n}.
 
 Permutations are stored as image tables over 1-based points.  Groups carry a
-base and strong generating set built and grown only by ``PermGroup.extend``
-(incremental Schreier-Sims; new base points are the smallest points moved by
-each new residue).  The chain holds padded image tables ``(0,) + images``, so
+base and strong generating set, grown by ``PermGroup.extend`` (incremental
+Schreier-Sims) or built by ``PermGroup.of_order`` up to a known order; new
+base points are the smallest points moved by each new residue.  The chain
+holds padded image tables ``(0,) + images``, so
 points stay 1-based and the product u*g (g after u) is
 ``tuple([g[x] for x in u])``; ``extend``, ``sift``, ``contains``,
 ``strong_generators`` and ``basic_orbits`` convert at the boundary, so they
@@ -25,7 +26,9 @@ grows each basic orbit inside the scan of its Schreier pairs.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from math import lcm, prod
 
 
 class CycleParseError(ValueError):
@@ -35,6 +38,9 @@ class CycleParseError(ValueError):
 class GroupError(ValueError):
     """Invalid group construction or use."""
 
+
+# the product seed, confirming sifts and trivial-sift limit of ``of_order``
+_PRODUCT_SEED, _CONFIRMING_SIFTS, _TRIVIAL_SIFT_LIMIT = 1, 8, 64
 
 # block systems can be exponential in number: Z2^n has one per nontrivial
 # proper subspace of GF(2)^n, 2,823 for n = 6 and 29,210 for n = 7
@@ -71,7 +77,10 @@ class Permutation:
     def __call__(self, point):
         if point < 1:
             raise ValueError("point %d is below 1" % point)
-        return self.images[point - 1]
+        try:
+            return self.images[point - 1]
+        except IndexError:
+            raise ValueError("point %d out of range 1..%d" % (point, self.degree)) from None
 
     def __mul__(self, other):
         """Composition acting left-to-right: (p*q)(x) = q(p(x))."""
@@ -94,7 +103,10 @@ class Permutation:
         if points and min(points) < 1:
             raise ValueError("point %d is below 1" % min(points))
         images = self.images
-        return frozenset([images[p - 1] for p in points])
+        try:
+            return frozenset([images[p - 1] for p in points])
+        except IndexError:
+            raise ValueError("point %d out of range 1..%d" % (max(points), self.degree)) from None
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest point, sorted."""
@@ -114,8 +126,6 @@ class Permutation:
         return out
 
     def order(self):
-        from math import lcm
-
         return lcm(1, *(len(c) for c in self.cycles()))
 
     def __repr__(self):
@@ -235,14 +245,26 @@ class _Level:
         self.orbit_list = [point]
         self.done = {point: 0}  # orbit point p -> gens[:done[p]] are paired with p
 
+    def add(self, q, u):
+        """Add the orbit point q, reached by the transversal element u."""
+        self.transversal[q] = u
+        self.orbit_list.append(q)
+        self.done[q] = 0
+
+    def inverse(self, q):
+        """transversal[q]^-1, built on first use (most never are); None off the orbit."""
+        if q not in self.inverses and q in self.transversal:
+            self.inverses[q] = (0,) + _trusted(self.transversal[q][1:]).inverse().images
+        return self.inverses.get(q)
+
 
 class PermGroup:
     """Permutation group from generators, with a base and strong generating set.
 
-    The chain is built and grown only by ``extend``, one generator at a
-    time; ``generators`` keeps the input tuple, members included.  The same
-    generators in the same order give the same base, strong generators and
-    transversals.
+    The constructor grows the chain by ``extend``, one generator at a time;
+    ``generators`` keeps the input tuple, members included.  ``of_order``
+    builds a chain to a known order.  The same generators in the same order
+    give the same base, strong generators and transversals.
     """
 
     def __init__(self, generators, degree=None):
@@ -291,7 +313,7 @@ class PermGroup:
             img = h[level.point]
             if img == level.point:
                 continue
-            u_inv = level.inverses.get(img)
+            u_inv = level.inverse(img)
             if u_inv is None:
                 return h
             h = tuple([u_inv[x] for x in h])
@@ -302,7 +324,7 @@ class PermGroup:
         generator not yet sifted through the deeper levels; returns the
         first nontrivial residue, or None once level i is complete."""
         level = self._levels[i]
-        gens, transversal, inverses = level.gens, level.transversal, level.inverses
+        gens, transversal = level.gens, level.transversal
         done, identity = level.done, self._identity
         for p in level.orbit_list:  # grows while the loop runs
             up = transversal[p]
@@ -310,16 +332,10 @@ class PermGroup:
                 q = g[p]
                 ug = tuple([g[x] for x in up])
                 if q not in transversal:
-                    transversal[q] = ug
-                    inv = [0] * len(ug)
-                    for x, y in enumerate(ug):
-                        inv[y] = x
-                    inverses[q] = tuple(inv)
-                    level.orbit_list.append(q)
-                    done[q] = 0
+                    level.add(q, ug)
                 # the Schreier generator ug * inverses[q] is trivial iff ug == transversal[q]
                 elif ug != transversal[q]:
-                    u_inv = inverses[q]
+                    u_inv = level.inverse(q)
                     residue = self._sift_from(i + 1, tuple([u_inv[x] for x in ug]))
                     if residue != identity:
                         done[p] = k + 1
@@ -330,19 +346,22 @@ class PermGroup:
     def extend(self, g):
         """Add g to the generators unless it is already a member; returns
         whether the group grew.  The sifted residue becomes a strong
-        generator at some level i, and while i >= 0: if level i is complete,
-        i drops by one; else the residue of its next Schreier generator
-        becomes a strong generator, at a deeper level j, and i becomes j.
-        The levels past i are complete throughout, and each level keeps its
-        sifted pairs, so only the pairs with new orbit points or generators
-        are sifted."""
+        generator at some level i, and ``_complete(i)`` completes the chain;
+        each level keeps its sifted pairs, so only the pairs with new orbit
+        points or generators are sifted."""
         if g.degree != self.degree:
             raise GroupError("generator degree %d does not match %d" % (g.degree, self.degree))
         residue = self._sift_from(0, (0,) + g.images)
         if residue == self._identity:
             return False
         self.generators += (g,)
-        i = self._place_gen(residue)
+        self._complete(self._place_gen(residue))
+        return True
+
+    def _complete(self, i):
+        """Complete levels i..0, those past i being complete: a complete level
+        i lowers i by one, else its next Schreier residue goes to a deeper
+        level j, and i becomes j."""
         while i >= 0:
             residue = self._next_residue(i)
             if residue is None:
@@ -353,6 +372,52 @@ class PermGroup:
                 raise AssertionError("Schreier residue placed at level %r, not below %d"
                                      % (j, i))
             i = j
+
+    @classmethod
+    def of_order(cls, candidates, order, degree):
+        """The group of the given order that ``candidates`` generate; its
+        ``generators`` are the candidates, in order, that the chain built
+        before them does not hold.  ``_grow`` places their residues, then
+        those of products of 4 random kept generators (Seress, *Permutation
+        Group Algorithms*, 2003, ch. 4).  The orbit lengths multiply to at
+        most the group's order, and equality makes the chain a base and
+        strong generating set; _CONFIRMING_SIFTS more trivial sifts catch a
+        smaller ``order`` that they hit.  After _TRIVIAL_SIFT_LIMIT trivial
+        sifts in a row ``_complete`` finishes; a wrong order raises."""
+        group, candidates = cls((), degree=degree), tuple(candidates)
+        group.generators = tuple(g for g in candidates if group._grow((0,) + g.images, order))
+        kept = [(0,) + g.images for g in group.generators]
+        rng, walk, trivial = random.Random(_PRODUCT_SEED), group._identity, 0
+        while kept and trivial < _TRIVIAL_SIFT_LIMIT and (
+                group.order() != order or trivial < _CONFIRMING_SIFTS):
+            for h in rng.choices(kept, k=4):
+                walk = tuple([h[x] for x in walk])
+            trivial = 0 if group._grow(walk, order) else trivial + 1
+        if group.order() != order:
+            group._complete(len(group._levels) - 1)
+        if group.order() != order or not all(map(group.contains, candidates)):
+            raise AssertionError("the chain has order %d, not the given %d, or misses a "
+                                 "candidate" % (group.order(), order))
+        for level in group._levels:  # a base and strong generating set: every pair sifts
+            level.done = dict.fromkeys(level.orbit_list, len(level.gens))
+        return group
+
+    def _grow(self, h, order):
+        """Place h's residue, if nontrivial, and close the orbits of the levels
+        whose gens it joins (closed under the others before), sifting nothing;
+        returns whether it placed one.  Raises AssertionError past ``order``."""
+        h = self._sift_from(0, h)
+        if h == self._identity:
+            return False
+        for level in self._levels[: self._place_gen(h) + 1]:
+            transversal, old = level.transversal, len(level.orbit_list)
+            for k, p in enumerate(level.orbit_list):  # grows while the loop runs
+                for g in (h,) if k < old else level.gens:
+                    q = g[p]
+                    if q not in transversal:
+                        level.add(q, tuple([g[x] for x in transversal[p]]))
+        if self.order() > order:
+            raise AssertionError("chain order %d passes the given %d" % (self.order(), order))
         return True
 
     # -- queries ---------------------------------------------------------
@@ -378,10 +443,7 @@ class PermGroup:
         )
 
     def order(self):
-        n = 1
-        for level in self._levels:
-            n *= len(level.orbit_list)
-        return n
+        return prod(len(level.orbit_list) for level in self._levels)
 
     def sift(self, p):
         """Residue of p through the stabilizer chain; identity iff p is a member."""

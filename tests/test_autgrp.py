@@ -15,6 +15,7 @@ from ftdesigns.autgrp import (
     ResourceCapExceeded,
     _Search,
     _common_depth,
+    _proved_order,
     _qualifying_masks,
     are_isomorphic,
     automorphism_group,
@@ -501,9 +502,7 @@ def test_search_matches_reference():
         result = automorphism_group(d)
         assert result.group.generators == rebuilt.generators
         assert result.order == rebuilt.order()
-        grown = PermGroup((), degree=d.v)
-        for perm in ref.autos.values():
-            grown.extend(perm)
+        grown = _extended(ref.autos.values(), d.v)
         assert grown.generators == rebuilt.generators
         assert grown.order() == rebuilt.order()
 
@@ -532,6 +531,57 @@ def test_search_stores_each_automorphism_once(monkeypatch):
     assert len(calls) > 200
 
 
+def _d96_labelings():
+    """The four d96 designs at labelings 1 and 2."""
+    return [_relabeled(design_96(group_id, block_id)[1], seed)
+            for group_id in ("h1", "h2") for block_id in (1, 2) for seed in (1, 2)]
+
+
+def _extended(perms, degree):
+    """The chain `extend` builds from perms, one at a time."""
+    group = PermGroup((), degree=degree)
+    for perm in perms:
+        group.extend(perm)
+    return group
+
+
+def test_proved_order_equals_extend_order():
+    """The order read off the first leaf's path equals the order of the
+    chain that `extend` builds from every automorphism found."""
+    designs = _oracle_designs() + _d96_labelings()
+    designs += [projective_design(5), construction_36_cosets()]
+    for d in designs:
+        search = _Search(d, 10**7).run()
+        assert _proved_order(search) == _extended(search.autos.values(), d.v).order()
+
+
+def test_proved_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for d in (construction_36(), projective_design(3), design_96("h1", 1)[1]):
+        search = _Search(d, 10**7).run()
+        reference = combinatorics.PermutationGroup(
+            [combinatorics.Permutation([x - 1 for x in p.images]) for p in search.autos.values()])
+        assert _proved_order(search) == reference.order()
+
+
+def test_generators_are_kept_automorphisms_in_found_order():
+    """The group's generators are a subsequence of the automorphisms found;
+    they hold every one that a greedy `extend` filter keeps, and generate a
+    group of the result's order.  On some d96 labelings they hold more."""
+    extra = 0
+    for d in _oracle_designs() + _d96_labelings():
+        found = list(_Search(d, 10**7).run().autos.values())
+        result = automorphism_group(d)
+        gens = result.group.generators
+        rest = iter(found)
+        assert all(g in rest for g in gens)  # `in` consumes the iterator
+        greedy = _extended(found, d.v).generators
+        assert set(greedy) <= set(gens)
+        assert PermGroup(gens, degree=d.v).order() == result.order
+        extra += len(gens) > len(greedy)
+    assert extra > 0
+
+
 def test_pg5_automorphism_group():
     result = automorphism_group(projective_design(5), node_cap=1000)
     assert result.order == 20158709760
@@ -556,7 +606,8 @@ GOLDEN_AUT = {
         "(2,3)(8,9)(10,13)(14,15)", "(2,3)(4,5)(7,11)(8,10)(9,13)(14,15)",
         "(2,7)(3,4)(5,14)(11,15)", "(4,15)(6,8)(7,14)(9,12)",
         "(5,6)(10,14)(11,12)(13,15)", "(1,2)(7,8)(11,13)(12,15)"]},
-    # The search finds 7 automorphisms here; the greedy filter keeps 5.
+    # The search finds 7 automorphisms here; a greedy filter keeps 5, and
+    # the chain built to the proved order keeps 6 (the fourth is the extra).
     ("d96-h2-1", 2): {"order": 138240, "nodes_explored": 34, "generators": [
         "(4,6,36)(5,47,21)(7,13,73)(8,22,70)(9,11,86)(10,18,30)(12,63,64)(14,17,43)"
         "(15,34,78)(16,24,81)(19,87,31)(23,41,33)(25,84,91)(26,75,37)(27,44,69)(28,42,82)"
@@ -570,6 +621,10 @@ GOLDEN_AUT = {
         "(8,11,57,86,47,9)(10,64,46,60,19,72)(12,69,85,71,65,24)(13,84,14,91,50,25)"
         "(15,34,59,68,54,39)(16,77,44,75,29,40)(18,53,45,37,87,79)(23,89,33,58,41,78)"
         "(26,63,80,96,38,90)(27,30,92,66,81,31)(48,83,56)(55,88)(74,94)",
+        "(2,49)(3,20)(4,36)(5,8)(7,14)(9,86)(10,90)(12,87)(13,43)(16,27)(17,73)(18,65)"
+        "(19,63)(21,22)(24,69)(25,84)(26,40)(28,32)(29,92)(30,72)(31,64)(33,41)(34,78)"
+        "(37,79)(38,77)(39,89)(42,52)(44,81)(45,85)(46,96)(47,70)(50,67)(54,59)(56,83)"
+        "(57,62)(58,68)(60,66)(75,80)(82,93)(88,94)",
         "(3,7)(4,42)(5,26)(6,75)(8,38)(9,32)(10,40)(11,45)(12,46)(13,73)(14,17)(15,88)"
         "(18,57)(19,30)(20,43)(21,36)(22,60)(23,55)(27,44)(28,37)(29,35)(31,79)(33,41)"
         "(34,56)(39,83)(47,82)(48,94)(49,69)(50,76)(51,80)(52,66)(53,85)(54,78)(58,74)"
@@ -597,7 +652,7 @@ def test_aut_json_golden(tmp_path):
 
 
 def test_greedy_filter_drops_found_automorphisms():
-    """On the d96 h2/1 golden labeling the search finds 7 automorphisms, 2
+    """On the d96 h2/1 golden labeling the search finds 7 automorphisms, 1
     more than the generators that ``GOLDEN_AUT`` pins."""
     d = _relabeled(design_96("h2", 1)[1], 2)
     assert len(_Search(d, 10**7).run().autos) == 7

@@ -12,11 +12,12 @@ import pytest
 
 import ftdesigns
 from ftdesigns import perm
-from ftdesigns.autgrp import CanonicalForm, automorphism_group
+from ftdesigns.autgrp import CanonicalForm, _proved_order, _Search, automorphism_group
 from ftdesigns.construct import (
     block_regular_group_96,
     construction_36,
     coset_model_group,
+    design_96,
     projective_design,
     semilinear_group_15,
     twisted_diagonal_group,
@@ -92,6 +93,16 @@ def test_points_below_1_raise():
         closure((0,), [p])
     assert p(3) == 1 and p.image_of_set({3, 1}) == {1, 2}
     assert p.image_of_set(()) == frozenset()
+
+
+def test_points_above_degree_raise_value_error():
+    p = Permutation([2, 3, 1])
+    with pytest.raises(ValueError, match=r"^point 4 out of range 1\.\.3$"):
+        p(4)
+    with pytest.raises(ValueError, match=r"^point 5 out of range 1\.\.3$"):
+        p.image_of_set([1, 5, 2])
+    with pytest.raises(ValueError, match=r"^point 4 out of range 1\.\.3$"):
+        p.image_of_set(x for x in (4,))
 
 
 def test_image_of_set_reads_an_iterator_once():
@@ -227,6 +238,96 @@ def assert_chain_complete(g):
 ], ids=["H1", "H2", "twisted-diagonal", "semilinear", "coset-model", "Aut(d36)", "Aut(pg3)"])
 def test_chain_is_complete(build):
     assert_chain_complete(build())
+
+
+def _found(d):
+    """The automorphisms the search finds on d, and the order it proves."""
+    search = _Search(d, 10**7).run()
+    return list(search.autos.values()), _proved_order(search)
+
+
+def test_exact_fallback_builds_the_same_group(monkeypatch):
+    """With no trivial sift allowed, `of_order` completes the chain by the
+    exact walk of `extend`: same order, same members, a complete chain."""
+    designs = [construction_36(), projective_design(3), _relabeled(design_96("h2", 1)[1], 2)]
+    built = [PermGroup.of_order(*_found(d), d.v) for d in designs]
+    complete = PermGroup._complete
+    completions = []
+    monkeypatch.setattr(PermGroup, "_complete",
+                        lambda self, i: completions.append(i) or complete(self, i))
+    monkeypatch.setattr(perm, "_TRIVIAL_SIFT_LIMIT", 0)
+    rng = random.Random(5)
+    for d, sampled in zip(designs, built):
+        found, order = _found(d)
+        exact = PermGroup.of_order(found, order, d.v)
+        assert exact.order() == sampled.order() == order
+        assert_chain_complete(exact)
+        for _ in range(20):
+            word = rng.choices(found, k=3)
+            member = word[0] * word[1] * word[2]
+            other = Permutation(rng.sample(range(1, d.v + 1), d.v))
+            assert exact.contains(member) and sampled.contains(member)
+            assert exact.contains(other) == sampled.contains(other)
+    assert completions
+
+
+def test_of_order_raises_on_a_wrong_order():
+    """Twice the order fails after the exact walk; half of it fails as soon
+    as the orbit lengths multiply past it.  So does the order over any of
+    its prime factors, also where the orbit lengths reach it exactly and
+    only the confirming sifts show that the group is larger."""
+    found, order = _found(projective_design(3))
+    with pytest.raises(AssertionError, match="not the given"):
+        PermGroup.of_order(found, 2 * order, 15)
+    with pytest.raises(AssertionError, match="passes the given"):
+        PermGroup.of_order(found, order // 2, 15)
+    for d in (construction_36(), projective_design(3), projective_design(5),
+              _relabeled(design_96("h2", 1)[1], 2)):
+        found, order = _found(d)
+        for prime in (p for p in (2, 3, 5, 7, 31) if order % p == 0):
+            with pytest.raises(AssertionError, match="passes the given"):
+                PermGroup.of_order(found, order // prime, d.v)
+
+
+def test_of_order_checks_survive_python_O():
+    """Both wrong-order checks of `of_order` raise under `python -O`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
+    code = r"""
+from ftdesigns.autgrp import _proved_order, _Search
+from ftdesigns.construct import projective_design
+from ftdesigns.perm import PermGroup
+assert False, "python -O did not strip asserts"
+
+def raises(order, match):
+    try:
+        PermGroup.of_order(found, order, 15)
+    except AssertionError as exc:
+        return match in str(exc)
+    return False
+
+search = _Search(projective_design(3), 10**7).run()
+found, order = list(search.autos.values()), _proved_order(search)
+print(raises(2 * order, "not the given"), raises(order // 2, "passes the given"))
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 2
+
+
+def test_extend_grows_a_completed_aut_group():
+    """`extend` on a group that `of_order` built stays exact: Aut(pg 3) and
+    a transposition generate the symmetric group."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = automorphism_group(projective_design(3)).group
+    swap = Permutation([2, 1] + list(range(3, 16)))
+    assert not group.contains(swap)
+    assert group.extend(swap)
+    reference = combinatorics.PermutationGroup(
+        [combinatorics.Permutation([x - 1 for x in g.images]) for g in group.generators])
+    assert group.order() == reference.order() == math.factorial(15)
+    assert_chain_complete(group)
 
 
 def test_determinism():

@@ -1,7 +1,8 @@
 """Property tests of `PermGroup` on generated groups of degree 2 to 10:
 orders, membership of generator words and of arbitrary permutations, and
-`extend` growing the group exactly for non-members, all against sympy; and
-the completeness of the stabilizer chain after each `extend`."""
+`extend` growing the group exactly for non-members, all against sympy, for
+chains built by `extend` and by `of_order` from sympy's order; and the
+completeness of the stabilizer chain after each `extend`."""
 
 import pytest
 
@@ -86,3 +87,25 @@ def test_chain_is_complete_after_each_extend(group):
     for p in gens:
         g.extend(p)
         assert_chain_complete(g)
+
+
+@PROPERTY_SETTINGS
+@given(groups(), st.data())
+def test_chain_built_to_a_known_order_matches_sympy(group, data):
+    """`of_order` with sympy's order gives a complete chain that agrees
+    with sympy on membership, and `extend` on it grows it exactly."""
+    n, gens, words = group
+    reference = _sympy_group(gens, n)
+    g = PermGroup.of_order(gens, reference.order(), n)
+    assert g.order() == reference.order()
+    assert_chain_complete(g)
+    for word in words:
+        assert g.contains(_product(gens, word))
+    for _ in range(3):
+        p = Permutation(data.draw(st.permutations(range(1, n + 1))))
+        assert g.contains(p) == reference.contains(_sympy_perm(p))
+    p = Permutation(data.draw(st.permutations(range(1, n + 1))))
+    member = reference.contains(_sympy_perm(p))
+    assert g.extend(p) == (not member)
+    assert g.order() == _sympy_group(list(gens) + [p], n).order()
+    assert_chain_complete(g)
