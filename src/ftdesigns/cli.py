@@ -256,8 +256,10 @@ def cmd_verify(args, out):
     report = Report(command="verify")
     d = design.parse_design_text(_read_text(args.design_file))
     params = _verify_design(report, d)
-    if params is not None and args.group_file:
+    if args.group_file:  # read and checked even when d is no 2-design
+        design.check_point_cap(d)  # before a generator of degree v is built
         g = perm.parse_group_text(_read_text(args.group_file), degree=d.v)
+    if params is not None and args.group_file:
         bad = [i for i, gen in enumerate(g.generators)
                if not design.is_automorphism(d, gen)]
         if report.add("generators-are-automorphisms", [], bad, "derived"):

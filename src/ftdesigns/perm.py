@@ -1,12 +1,16 @@
 """Exact permutation groups on {1..n}.
 
 Permutations are stored as image tables over 1-based points.  Groups carry a
-base and strong generating set, grown by ``PermGroup.extend`` (incremental
-Schreier-Sims) or built by ``PermGroup.of_order`` up to a known order; new
-base points are the smallest points moved by each new residue.  The chain
-holds padded image tables ``(0,) + images``, so
-points stay 1-based and the product u*g (g after u) is
-``tuple([g[x] for x in u])``; ``extend``, ``sift``, ``contains``,
+base and strong generating set, built by one Schreier-Sims recipe (Holt,
+Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, 4.4.2): the
+residues of the generators are placed, each closing the basic orbits of
+the levels it joins, and ``_complete`` then sifts the Schreier generators
+from the deepest level up.  ``PermGroup.of_order`` places residues of
+random products until the orbit lengths multiply to a known order, and
+completes only if they do not.  New base points are the smallest points
+moved by each new residue.  The chain holds padded image tables
+``(0,) + images``, so points stay 1-based and the product u*g (g after u)
+is ``tuple([g[x] for x in u])``; ``sift``, ``contains``,
 ``strong_generators`` and ``basic_orbits`` convert at the boundary, so they
 take and give Permutations.  This gives exact orders, membership tests,
 orbits, setwise stabilizers and invariant partitions at the degrees used in
@@ -17,11 +21,10 @@ action on the parts of each invariant partition that ``block_systems``
 pops; systems are keyed by their block through 1.
 
 Orbits of points, point sets, bitmasks, flags and search vertices come
-from one routine, ``closure`` (Holt, Eick & O'Brien, *Handbook of
-Computational Group Theory*, 2005, 4.1) with the action passed in, and
-``orbits_on`` built on it; only ``orbit_of_set`` keeps its own loop, because
-it builds a transversal of point sets as it goes.  The Schreier-Sims walk
-grows each basic orbit inside the scan of its Schreier pairs.
+from one routine, ``closure`` (Holt, Eick & O'Brien 2005, 4.1) with the
+action passed in, and ``orbits_on`` built on it; only ``orbit_of_set``
+keeps its own loop, because it builds a transversal of point sets as it
+goes, and only ``_place_gen`` grows basic orbits.
 """
 
 from __future__ import annotations
@@ -245,12 +248,6 @@ class _Level:
         self.orbit_list = [point]
         self.done = {point: 0}  # orbit point p -> gens[:done[p]] are paired with p
 
-    def add(self, q, u):
-        """Add the orbit point q, reached by the transversal element u."""
-        self.transversal[q] = u
-        self.orbit_list.append(q)
-        self.done[q] = 0
-
     def inverse(self, q):
         """transversal[q]^-1, built on first use (most never are); None off the orbit."""
         if q not in self.inverses and q in self.transversal:
@@ -261,7 +258,8 @@ class _Level:
 class PermGroup:
     """Permutation group from generators, with a base and strong generating set.
 
-    The constructor grows the chain by ``extend``, one generator at a time;
+    The constructor places the residue of each generator that the chain
+    built before it does not hold, then completes the chain once;
     ``generators`` keeps the input tuple, members included.  ``of_order``
     builds a chain to a known order.  The same generators in the same order
     give the same base, strong generators and transversals.
@@ -274,35 +272,49 @@ class PermGroup:
                 raise GroupError("empty generator list needs an explicit degree")
             degree = generators[0].degree
         self.degree = degree
-        self.generators = ()
         self._identity = tuple(range(degree + 1))
         self._levels = []
         for g in generators:
-            self.extend(g)
+            if g.degree != degree:
+                raise GroupError("generator degree %d does not match %d" % (g.degree, degree))
+            self._grow((0,) + g.images)
+        self._complete(len(self._levels) - 1)
         self.generators = generators
 
     # -- Schreier-Sims construction ------------------------------------
     #
     # Level i's ``gens`` are the strong generators that fix the first i base
-    # points, and generate the i-th point stabilizer.  Level i is complete
-    # once its orbit is closed under them and every Schreier generator of
-    # that orbit sifts to the identity through the deeper levels; each
-    # (orbit point, generator) pair is sifted once.  ``extend`` completes
-    # the chain with one level pointer (Holt, Eick & O'Brien 2005, 4.4).
+    # points, and generate the i-th point stabilizer; its orbit is closed
+    # under them whenever a generator has been placed.  Level i is complete
+    # once every Schreier generator of that orbit sifts to the identity
+    # through the deeper levels; each (orbit point, generator) pair is
+    # sifted once.  ``_complete`` walks the levels with one level pointer
+    # (Holt, Eick & O'Brien 2005, 4.4.2).
 
     def _place_gen(self, h):
         """Append a nonidentity strong generator h to the gens of every level
         whose base point it fixes and of the first level whose base point it
-        moves, and return that level's index; when h fixes every base point,
-        that level is a new one, based at the smallest point h moves."""
-        for i, level in enumerate(self._levels):
-            level.gens.append(h)
+        moves, a new one based at the smallest point h moves when h fixes
+        every base point, and close the orbits of those levels; returns the
+        index of the last one."""
+        for j, level in enumerate(self._levels):
             if h[level.point] != level.point:
-                return i
-        point = next(x for x in range(1, self.degree + 1) if h[x] != x)
-        self._levels.append(_Level(point, self._identity))
-        self._levels[-1].gens.append(h)
-        return len(self._levels) - 1
+                break
+        else:
+            point = next(x for x in range(1, self.degree + 1) if h[x] != x)
+            self._levels.append(_Level(point, self._identity))
+            j = len(self._levels) - 1
+        for level in self._levels[: j + 1]:
+            level.gens.append(h)
+            transversal, orbit, old = level.transversal, level.orbit_list, len(level.orbit_list)
+            for k, p in enumerate(orbit):  # grows while the loop runs
+                for g in (h,) if k < old else level.gens:  # old points: closed under the rest
+                    q = g[p]
+                    if q not in transversal:
+                        transversal[q] = tuple([g[x] for x in transversal[p]])
+                        orbit.append(q)
+                        level.done[q] = 0
+        return j
 
     def _sift_from(self, i, h):
         """Residue of h through the stabilizer chain from level i down."""
@@ -319,22 +331,28 @@ class PermGroup:
             h = tuple([u_inv[x] for x in h])
         return h
 
+    def _grow(self, h):
+        """Place h's residue, if nontrivial, sifting no Schreier generator;
+        returns whether it placed one."""
+        h = self._sift_from(0, h)
+        if h == self._identity:
+            return False
+        self._place_gen(h)
+        return True
+
     def _next_residue(self, i):
-        """Grow level i's orbit under its gens and sift each Schreier
-        generator not yet sifted through the deeper levels; returns the
-        first nontrivial residue, or None once level i is complete."""
+        """Sift each Schreier generator of level i's closed orbit not yet
+        sifted through the deeper levels; returns the first nontrivial
+        residue, or None once level i is complete."""
         level = self._levels[i]
         gens, transversal = level.gens, level.transversal
         done, identity = level.done, self._identity
-        for p in level.orbit_list:  # grows while the loop runs
+        for p in level.orbit_list:
             up = transversal[p]
             for k, g in enumerate(gens[done[p]:], done[p]):
-                q = g[p]
-                ug = tuple([g[x] for x in up])
-                if q not in transversal:
-                    level.add(q, ug)
+                q, ug = g[p], tuple([g[x] for x in up])
                 # the Schreier generator ug * inverses[q] is trivial iff ug == transversal[q]
-                elif ug != transversal[q]:
+                if ug != transversal[q]:
                     u_inv = level.inverse(q)
                     residue = self._sift_from(i + 1, tuple([u_inv[x] for x in ug]))
                     if residue != identity:
@@ -342,21 +360,6 @@ class PermGroup:
                         return residue
             done[p] = len(gens)
         return None
-
-    def extend(self, g):
-        """Add g to the generators unless it is already a member; returns
-        whether the group grew.  The sifted residue becomes a strong
-        generator at some level i, and ``_complete(i)`` completes the chain;
-        each level keeps its sifted pairs, so only the pairs with new orbit
-        points or generators are sifted."""
-        if g.degree != self.degree:
-            raise GroupError("generator degree %d does not match %d" % (g.degree, self.degree))
-        residue = self._sift_from(0, (0,) + g.images)
-        if residue == self._identity:
-            return False
-        self.generators += (g,)
-        self._complete(self._place_gen(residue))
-        return True
 
     def _complete(self, i):
         """Complete levels i..0, those past i being complete: a complete level
@@ -383,42 +386,27 @@ class PermGroup:
         most the group's order, and equality makes the chain a base and
         strong generating set; _CONFIRMING_SIFTS more trivial sifts catch a
         smaller ``order`` that they hit.  After _TRIVIAL_SIFT_LIMIT trivial
-        sifts in a row ``_complete`` finishes; a wrong order raises."""
+        sifts in a row ``_complete`` finishes the chain as the constructor
+        does.  An orbit product past ``order``, another order after
+        ``_complete``, or a candidate outside the chain raises
+        AssertionError."""
         group, candidates = cls((), degree=degree), tuple(candidates)
-        group.generators = tuple(g for g in candidates if group._grow((0,) + g.images, order))
+        group.generators = tuple(g for g in candidates if group._grow((0,) + g.images))
         kept = [(0,) + g.images for g in group.generators]
         rng, walk, trivial = random.Random(_PRODUCT_SEED), group._identity, 0
-        while kept and trivial < _TRIVIAL_SIFT_LIMIT and (
+        while kept and trivial < _TRIVIAL_SIFT_LIMIT and group.order() <= order and (
                 group.order() != order or trivial < _CONFIRMING_SIFTS):
             for h in rng.choices(kept, k=4):
                 walk = tuple([h[x] for x in walk])
-            trivial = 0 if group._grow(walk, order) else trivial + 1
-        if group.order() != order:
+            trivial = 0 if group._grow(walk) else trivial + 1
+        if group.order() < order:
             group._complete(len(group._levels) - 1)
+        if group.order() > order:
+            raise AssertionError("chain order %d passes the given %d" % (group.order(), order))
         if group.order() != order or not all(map(group.contains, candidates)):
             raise AssertionError("the chain has order %d, not the given %d, or misses a "
                                  "candidate" % (group.order(), order))
-        for level in group._levels:  # a base and strong generating set: every pair sifts
-            level.done = dict.fromkeys(level.orbit_list, len(level.gens))
         return group
-
-    def _grow(self, h, order):
-        """Place h's residue, if nontrivial, and close the orbits of the levels
-        whose gens it joins (closed under the others before), sifting nothing;
-        returns whether it placed one.  Raises AssertionError past ``order``."""
-        h = self._sift_from(0, h)
-        if h == self._identity:
-            return False
-        for level in self._levels[: self._place_gen(h) + 1]:
-            transversal, old = level.transversal, len(level.orbit_list)
-            for k, p in enumerate(level.orbit_list):  # grows while the loop runs
-                for g in (h,) if k < old else level.gens:
-                    q = g[p]
-                    if q not in transversal:
-                        level.add(q, tuple([g[x] for x in transversal[p]]))
-        if self.order() > order:
-            raise AssertionError("chain order %d passes the given %d" % (self.order(), order))
-        return True
 
     # -- queries ---------------------------------------------------------
 
@@ -476,7 +464,8 @@ class PermGroup:
 
     def orbit_of_set(self, points):
         """Orbit of a point set under the induced action on sets, plus the
-        setwise stabilizer (from Schreier generators of the set action).
+        setwise stabilizer, generated by the nonidentity Schreier generators
+        of the set action.
 
         Returns (orbit, stabilizer) where orbit is a list of frozensets in
         BFS discovery order.  Asserts the orbit-stabilizer identity.
@@ -486,12 +475,8 @@ class PermGroup:
             if not 1 <= p <= self.degree:
                 raise ValueError("point %d out of range 1..%d" % (p, self.degree))
         transversal = {start: self.identity()}
-        orbit_list = [start]
-        stab = PermGroup((), degree=self.degree)
-        qi = 0
-        while qi < len(orbit_list):
-            t = orbit_list[qi]
-            qi += 1
+        orbit_list, schreier = [start], []
+        for t in orbit_list:  # grows while the loop runs
             ut = transversal[t]
             for g in self.generators:
                 img = g.image_of_set(t)
@@ -499,7 +484,8 @@ class PermGroup:
                     transversal[img] = ut * g
                     orbit_list.append(img)
                 else:
-                    stab.extend(ut * g * transversal[img].inverse())
+                    schreier.append(ut * g * transversal[img].inverse())
+        stab = PermGroup([s for s in schreier if not s.is_identity()], degree=self.degree)
         if len(orbit_list) * stab.order() != self.order():
             raise AssertionError("orbit-stabilizer identity fails: %d * %d != %d"
                                  % (len(orbit_list), stab.order(), self.order()))

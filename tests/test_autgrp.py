@@ -479,7 +479,7 @@ def _reference_skip_by_orbit(w, explored, gens):
 
 
 def _rebuilt_group(perms, degree):
-    """The generator loop `automorphism_group` had before `PermGroup.extend`:
+    """A greedy generator filter, the loop `automorphism_group` once had:
     keep each non-member and rebuild the group from everything kept."""
     kept = []
     group = PermGroup(kept, degree=degree)
@@ -502,9 +502,7 @@ def test_search_matches_reference():
         result = automorphism_group(d)
         assert result.group.generators == rebuilt.generators
         assert result.order == rebuilt.order()
-        grown = _extended(ref.autos.values(), d.v)
-        assert grown.generators == rebuilt.generators
-        assert grown.order() == rebuilt.order()
+        assert PermGroup(ref.autos.values(), degree=d.v).order() == rebuilt.order()
 
 
 def test_search_stores_each_automorphism_once(monkeypatch):
@@ -537,22 +535,14 @@ def _d96_labelings():
             for group_id in ("h1", "h2") for block_id in (1, 2) for seed in (1, 2)]
 
 
-def _extended(perms, degree):
-    """The chain `extend` builds from perms, one at a time."""
-    group = PermGroup((), degree=degree)
-    for perm in perms:
-        group.extend(perm)
-    return group
-
-
-def test_proved_order_equals_extend_order():
+def test_proved_order_equals_constructor_order():
     """The order read off the first leaf's path equals the order of the
-    chain that `extend` builds from every automorphism found."""
+    group that the constructor builds from every automorphism found."""
     designs = _oracle_designs() + _d96_labelings()
     designs += [projective_design(5), construction_36_cosets()]
     for d in designs:
         search = _Search(d, 10**7).run()
-        assert _proved_order(search) == _extended(search.autos.values(), d.v).order()
+        assert _proved_order(search) == PermGroup(search.autos.values(), degree=d.v).order()
 
 
 def test_proved_order_matches_sympy():
@@ -566,8 +556,9 @@ def test_proved_order_matches_sympy():
 
 def test_generators_are_kept_automorphisms_in_found_order():
     """The group's generators are a subsequence of the automorphisms found;
-    they hold every one that a greedy `extend` filter keeps, and generate a
-    group of the result's order.  On some d96 labelings they hold more."""
+    they hold every one that a greedy filter keeps (each one that those
+    before it do not generate), and generate a group of the result's order.
+    On some d96 labelings they hold more."""
     extra = 0
     for d in _oracle_designs() + _d96_labelings():
         found = list(_Search(d, 10**7).run().autos.values())
@@ -575,7 +566,7 @@ def test_generators_are_kept_automorphisms_in_found_order():
         gens = result.group.generators
         rest = iter(found)
         assert all(g in rest for g in gens)  # `in` consumes the iterator
-        greedy = _extended(found, d.v).generators
+        greedy = _rebuilt_group(found, d.v).generators
         assert set(greedy) <= set(gens)
         assert PermGroup(gens, degree=d.v).order() == result.order
         extra += len(gens) > len(greedy)

@@ -216,8 +216,12 @@ def test_verify_parse_error(tmp_path):
     assert code == cli.EXIT_INPUT_ERROR
 
 
-# the complete 2-(4,2,1) design, so that `verify` goes on to read the group
+# the complete 2-(4,2,1) design, so that only the group file is malformed,
+# and a design that fails the 2-design check, whose group file `verify`
+# reads all the same
 PAIRS_ON_4 = "v 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+NOT_A_DESIGN = "v 4\n1 2\n1 3\n"
+MISSING = object()  # a group path with no file behind it
 C4 = "degree 4\n(1,2,3,4)\n"
 HUGE_GROUP = "degree 10000000000\n(1,2,3,4)\n"
 
@@ -245,6 +249,9 @@ def _limit_address_space():
     pytest.param("v 4\n1 x\n", None, id="non-integer-block-entry"),
     pytest.param(PAIRS_ON_4, "degree 5\n(1,2,3,4,5)\n", id="group-degree-is-not-v"),
     pytest.param(PAIRS_ON_4, HUGE_GROUP, id="group-degree-too-large-to-build"),
+    pytest.param(NOT_A_DESIGN, "garbage\n", id="no-design-group-header-word"),
+    pytest.param(NOT_A_DESIGN, MISSING, id="no-design-group-file-missing"),
+    pytest.param(PAIRS_ON_4, MISSING, id="group-file-missing"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, design_text, group_text):
     """Each malformed design or group file exits 2 with an error message on
@@ -253,7 +260,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, design_text, group_text):
     (tmp_path / "in.dsg").write_text(design_text)
     if group_text is not None:
         argv.append(str(tmp_path / "in.grp"))
-        (tmp_path / "in.grp").write_text(group_text)
+        if group_text is not MISSING:
+            (tmp_path / "in.grp").write_text(group_text)
     if group_text == HUGE_GROUP:
         # a generator of this degree needs about 80 GB, so the run gets
         # 400 MB of address space: building one fails at once
@@ -348,14 +356,23 @@ def test_generated_malformed_input_exits_cleanly(tmp_path, capsys, argv, kind):
 HUGE_DESIGN = "v 10000000000\n1 2 3\n1 4 5\n2 4 6\n"
 
 
-@pytest.mark.parametrize("command", ["verify", "aut"])
-def test_huge_design_hits_the_point_cap(tmp_path, command):
+@pytest.mark.parametrize("command, design_text, group_text", [
+    pytest.param("verify", HUGE_DESIGN, None, id="verify"),
+    pytest.param("aut", HUGE_DESIGN, None, id="aut"),
+    # block sizes differ, so the cap is checked before the group is read
+    pytest.param("verify", "v 10000000000\n1 2\n1 3 4\n", HUGE_GROUP,
+                 id="verify-no-design-with-group"),
+])
+def test_huge_design_hits_the_point_cap(tmp_path, command, design_text, group_text):
     """A design header far above ``design.MAX_POINTS`` exits 3 with a
     message naming the cap.  A table of v entries would need about 80 GB,
     so the run gets 400 MB of address space: building one fails at once."""
-    path = tmp_path / "huge.dsg"
-    path.write_text(HUGE_DESIGN)
-    proc = subprocess.run([sys.executable, "-m", "ftdesigns", command, str(path)],
+    argv = [command, str(tmp_path / "huge.dsg")]
+    (tmp_path / "huge.dsg").write_text(design_text)
+    if group_text is not None:
+        argv.append(str(tmp_path / "huge.grp"))
+        (tmp_path / "huge.grp").write_text(group_text)
+    proc = subprocess.run([sys.executable, "-m", "ftdesigns"] + argv,
                           env=SRC_ENV, capture_output=True, text=True, timeout=60,
                           preexec_fn=_limit_address_space)
     assert proc.returncode == cli.EXIT_RESOURCE_CAP

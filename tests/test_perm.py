@@ -248,7 +248,7 @@ def _found(d):
 
 def test_exact_fallback_builds_the_same_group(monkeypatch):
     """With no trivial sift allowed, `of_order` completes the chain by the
-    exact walk of `extend`: same order, same members, a complete chain."""
+    constructor's exact walk: same order, same members, a complete chain."""
     designs = [construction_36(), projective_design(3), _relabeled(design_96("h2", 1)[1], 2)]
     built = [PermGroup.of_order(*_found(d), d.v) for d in designs]
     complete = PermGroup._complete
@@ -316,14 +316,15 @@ print(raises(2 * order, "not the given"), raises(order // 2, "passes the given")
     assert proc.stdout.split() == ["True"] * 2
 
 
-def test_extend_grows_a_completed_aut_group():
-    """`extend` on a group that `of_order` built stays exact: Aut(pg 3) and
-    a transposition generate the symmetric group."""
+def test_aut_group_and_a_transposition_generate_the_symmetric_group():
+    """The constructor on the generators of Aut(pg 3), which `of_order`
+    keeps, and a transposition outside it builds a complete chain of the
+    symmetric group."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    group = automorphism_group(projective_design(3)).group
+    aut = automorphism_group(projective_design(3)).group
     swap = Permutation([2, 1] + list(range(3, 16)))
-    assert not group.contains(swap)
-    assert group.extend(swap)
+    assert not aut.contains(swap)
+    group = PermGroup(aut.generators + (swap,))
     reference = combinatorics.PermutationGroup(
         [combinatorics.Permutation([x - 1 for x in g.images]) for g in group.generators])
     assert group.order() == reference.order() == math.factorial(15)
@@ -754,24 +755,29 @@ def test_products_and_inverses_match_validated():
         parse_cycles("(1,2)", 3) * Permutation.identity(4)
 
 
-def test_extend():
-    g = PermGroup([parse_cycles("(1,2,3,4,5,6)", 6)])
-    assert not g.extend(parse_cycles("(1,3,5)(2,4,6)", 6))
-    assert g.order() == 6 and len(g.generators) == 1
-    assert g.extend(parse_cycles("(1,2)", 6))
-    assert g.order() == 720
-    assert g.generators == (parse_cycles("(1,2,3,4,5,6)", 6), parse_cycles("(1,2)", 6))
-    assert not g.extend(parse_cycles("(3,4)", 6))
-    with pytest.raises(GroupError):
-        g.extend(Permutation.identity(5))
+def test_constructor():
+    """A member among the generators leaves the order as it is, a
+    non-member grows it, and the chain from a transposition and an 8-cycle
+    is the symmetric group's."""
+    six_cycle, swap = parse_cycles("(1,2,3,4,5,6)", 6), parse_cycles("(1,2)", 6)
+    assert PermGroup([six_cycle, parse_cycles("(1,3,5)(2,4,6)", 6)]).order() == 6
+    g = PermGroup([six_cycle, swap])
+    assert g.order() == 720 and g.generators == (six_cycle, swap)
+    assert g.contains(parse_cycles("(3,4)", 6))
+    assert PermGroup([six_cycle, swap, parse_cycles("(3,4)", 6)]).order() == 720
     with pytest.raises(GroupError):
         g.sift(parse_cycles("(1,2)", 5))
-    grown = PermGroup([], degree=8)
-    assert grown.extend(parse_cycles("(1,2)", 8))
-    assert grown.extend(parse_cycles("(1,2,3,4,5,6,7,8)", 8))
+    grown = PermGroup([parse_cycles("(1,2)", 8), parse_cycles("(1,2,3,4,5,6,7,8)", 8)])
     assert grown.order() == math.factorial(8)
     for _, orbit, transversal in grown.basic_orbits:
         assert set(transversal) == set(orbit)
+
+
+def test_generators_of_mixed_degree_raise_group_error():
+    with pytest.raises(GroupError, match="generator degree 5 does not match 6"):
+        PermGroup([parse_cycles("(1,2)", 6), Permutation.identity(5)])
+    with pytest.raises(GroupError, match="generator degree 5 does not match 6"):
+        PermGroup([Permutation.identity(5)], degree=6)
 
 
 @pytest.mark.parametrize("cycles", [
@@ -786,8 +792,8 @@ def test_generators_are_the_input_tuple(cycles):
     assert g.generators == gens
     assert parse_group_text(format_group_text(g)).generators == gens
     for member in (gens[-1], gens[0] * gens[-1], Permutation.identity(6)):
-        assert not g.extend(member)
-        assert g.generators == gens
+        assert g.contains(member)
+        assert PermGroup(gens + (member,)).order() == g.order()
 
 
 def test_orders_match_sympy():
@@ -823,10 +829,7 @@ def test_orders_match_sympy():
                 gens.append(Permutation(rng.sample(range(1, n + 1), n)))
         want = sympy_order(gens, n)
         assert PermGroup(gens).order() == want
-        grown = PermGroup([], degree=n)
-        for gen in gens:
-            grown.extend(gen)
-        assert grown.order() == want
+        assert PermGroup(gens[::-1]).order() == want
 
 
 def test_group_file_round_trip():
@@ -852,11 +855,13 @@ def test_group_file_errors():
 
 def test_perm_and_design_checks_survive_python_O(tmp_path):
     """The orbit-stabilizer identity, the two block-system checks, the
-    Schreier-Sims placement check, the intersection-profile check and the
-    check that a flag orbit stays within the flags raise under `python -O`.
-    For the last, `design.flags` is cut to its first flag, so the orbit of
-    that flag leaves the items `orbits_on` was given.  `python -O -m
-    ftdesigns aut` on a pg 3 file prints its golden group."""
+    Schreier-Sims placement check of `_complete`, the intersection-profile
+    check and the check that a flag orbit stays within the flags raise
+    under `python -O`.  For the placement check, a patched sift hands
+    `_complete` a residue that moves base point 1.  For the flag orbit,
+    `design.flags` is cut to its first flag, so the orbit of that flag
+    leaves the items `orbits_on` was given.  `python -O -m ftdesigns aut` on
+    a pg 3 file prints its golden group."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     code = r"""
 from ftdesigns import design, perm
@@ -889,23 +894,27 @@ wrong_order = cyclic4()
 wrong_order.order = lambda: 7
 unequal = joined_by([[0, 1, 2], [3]])
 not_invariant = joined_by([[0, 1], [2, 3]])
-swap = Permutation([2, 1, 3, 4])
 misplaced = cyclic4()
-swap_table = (0,) + swap.images  # the chain's form of swap
-misplaced._sift_from = lambda i, h: swap_table  # every residue moves base point 1
+residues = iter([(0, 2, 1, 3, 4)] * 2)  # the chain's form of (1,2), which moves base point 1
+misplaced._sift_from = lambda i, h: next(residues, misplaced._identity)
+
+def place_and_complete():
+    misplaced._grow(misplaced._identity)
+    misplaced._complete(0)
+
 all_flags = design.flags
 design.flags = lambda d: all_flags(d)[:1]
 square = Design(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 print(raises(wrong_order.orbit_of_set, [1]),
       raises(unequal),
       raises(not_invariant),
-      raises(misplaced.extend, swap),
+      raises(place_and_complete),
       raises(intersection_profile, Design(4, []), BlockSystem(4, [[1, 2], [3, 4]])),
       raises(flag_orbit_count, cyclic4(), square))
 """
     env = dict(os.environ, PYTHONPATH=src)
-    # without its placement check, `misplaced.extend` places residues at
-    # level 0 forever, so the run is bounded
+    # the patched sift gives two residues and then only the identity, so
+    # without its placement check `_complete` still ends
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,13 @@
 """Property tests of `PermGroup` on generated groups of degree 2 to 10:
 orders, membership of generator words and of arbitrary permutations, and
-`extend` growing the group exactly for non-members, all against sympy, for
-chains built by `extend` and by `of_order` from sympy's order; and the
-completeness of the stabilizer chain after each `extend`."""
+one more generator growing the group exactly for non-members, all against
+sympy, for chains built by the constructor and by `of_order` from sympy's
+order; and the completeness of the stabilizer chain for every prefix of
+the generators.  Also: a failing property test fails the run as a test."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,34 +71,33 @@ def test_order_and_contains_match_sympy(group, data):
 
 @PROPERTY_SETTINGS
 @given(groups(), st.data())
-def test_extend_grows_exactly_for_non_members(group, data):
+def test_one_more_generator_grows_exactly_for_non_members(group, data):
     n, gens, words = group
     candidates = [_product(gens, word) for word in words]
     candidates.append(Permutation(data.draw(st.permutations(range(1, n + 1)))))
     g = PermGroup(gens, degree=n)
     for p in candidates:
-        before = g.generators
-        member = _sympy_group(before, n).contains(_sympy_perm(p))
-        assert g.extend(p) == (not member)
-        assert g.generators == (before if member else before + (p,))
-        assert g.order() == _sympy_group(g.generators, n).order()
+        member = _sympy_group(g.generators, n).contains(_sympy_perm(p))
+        assert g.contains(p) == member
+        grown = PermGroup(g.generators + (p,), degree=n)
+        assert (grown.order() == g.order()) == member
+        assert grown.order() == _sympy_group(grown.generators, n).order()
+        g = grown
 
 
 @PROPERTY_SETTINGS
 @given(groups())
-def test_chain_is_complete_after_each_extend(group):
+def test_chain_is_complete_for_each_prefix_of_the_generators(group):
     n, gens, _ = group
-    g = PermGroup((), degree=n)
-    for p in gens:
-        g.extend(p)
-        assert_chain_complete(g)
+    for k in range(len(gens) + 1):
+        assert_chain_complete(PermGroup(gens[:k], degree=n))
 
 
 @PROPERTY_SETTINGS
 @given(groups(), st.data())
 def test_chain_built_to_a_known_order_matches_sympy(group, data):
     """`of_order` with sympy's order gives a complete chain that agrees
-    with sympy on membership, and `extend` on it grows it exactly."""
+    with sympy on membership."""
     n, gens, words = group
     reference = _sympy_group(gens, n)
     g = PermGroup.of_order(gens, reference.order(), n)
@@ -104,8 +108,32 @@ def test_chain_built_to_a_known_order_matches_sympy(group, data):
     for _ in range(3):
         p = Permutation(data.draw(st.permutations(range(1, n + 1))))
         assert g.contains(p) == reference.contains(_sympy_perm(p))
-    p = Permutation(data.draw(st.permutations(range(1, n + 1))))
-    member = reference.contains(_sympy_perm(p))
-    assert g.extend(p) == (not member)
-    assert g.order() == _sympy_group(list(gens) + [p], n).order()
-    assert_chain_complete(g)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+def test_runs_after_it():
+    pass
+"""
+
+
+def test_a_failing_property_fails_as_a_test(tmp_path):
+    """pytest under this project's settings reports a failing `@given` test
+    and runs on.  Hypothesis imports libcst to write a patch for the failing
+    example, and that import warns; were the warning an error, pytest would
+    stop with INTERNALERROR and run no later test."""
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_failing_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
