@@ -81,11 +81,8 @@ def twisted_diagonal_group():
     Generated by two permutations acting coordinate-wise: row action (1,2)
     with column action (1,4)(2,6)(3,5), and row action (1,2,3,4,5,6) with
     column action (1,3)(2,6,5)."""
-    group = PermGroup([_grid_perm(parse_cycles(g, 6), parse_cycles(image, 6))
-                       for g, image in OUTER_AUT_IMAGES.items()])
-    if group.order() != 720:
-        raise AssertionError("twisted diagonal group has order %d, not 720" % group.order())
-    return group
+    return PermGroup.of_order([_grid_perm(parse_cycles(g, 6), parse_cycles(image, 6))
+                               for g, image in OUTER_AUT_IMAGES.items()], 720, 36)
 
 
 CONSTRUCTION_36_BASE_BLOCK = frozenset(
@@ -156,10 +153,8 @@ class FrobeniusModel:
         )
 
     def group(self) -> PermGroup:
-        g = PermGroup([self.induced(parse_cycles(gen, 6)) for gen in OUTER_AUT_IMAGES])
-        if g.order() != 720:
-            raise AssertionError("coset model group has order %d, not 720" % g.order())
-        return g
+        return PermGroup.of_order([self.induced(parse_cycles(gen, 6))
+                                   for gen in OUTER_AUT_IMAGES], 720, 36)
 
     def triple_data(self, x, xp, bisection):
         """For the triple (x, x', pi): the 24-point set of points fixing a
@@ -180,16 +175,13 @@ class FrobeniusModel:
             parse_cycles("(%d,%d)" % (z3, z4), 6),
             parse_cycles("(%d,%d)(%d,%d)" % (z1, z3, z2, z4), 6),
         ]
-        h6 = PermGroup(hgens6)
-        if h6.order() != 8:
-            raise AssertionError("stabilizer has order %d, not 8" % h6.order())
+        h6 = PermGroup.of_order(hgens6, 8, 6)
         # the normalizer N(H) = H x <(x,x')>, by the module docstring
         swap = parse_cycles("(%d,%d)" % (x, xp), 6)
         ngens6 = hgens6 + [swap]
         if not all(h6.contains(g.inverse() * h * g) for g in ngens6 for h in hgens6):
             raise AssertionError("the normalizer generators do not normalize the stabilizer")
-        if PermGroup(ngens6).order() != 16:
-            raise AssertionError("the normalizer generators do not give order 16")
+        PermGroup.of_order(ngens6, 16, 6)  # raises AssertionError on another order
         hgens36 = [self.induced(g) for g in hgens6]
         ngens36 = hgens36 + [self.induced(swap)]
         zset = {z1, z2, z3, z4}
@@ -314,10 +306,7 @@ def semilinear_group_15() -> PermGroup:
     frobenius = _vector_perm(
         lambda a, b: (_GF4_MUL[a][a], _GF4_MUL[b][b])
     )
-    group = PermGroup([swap, transvection, diag, frobenius])
-    if group.order() != 360:
-        raise AssertionError("semilinear group has order %d, not 360" % group.order())
-    return group
+    return PermGroup.of_order([swap, transvection, diag, frobenius], 360, 15)
 
 
 def gf4_line_partition():

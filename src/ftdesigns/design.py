@@ -180,12 +180,10 @@ def check_2_design(d: Design) -> DesignParameters:
                 )
     if lam < 1:
         raise NotTwoDesignError("uncovered-pair", (1, 2))
-    reps = [row.bit_count() for row in rows]
-    r = reps[0]
-    for p, rep in enumerate(reps, 1):
-        if rep != r:
-            raise NotTwoDesignError("non-constant-replication", (1, r, p, rep))
-    params = DesignParameters(v=v, b=d.b, k=k, r=r, lam=lam)
+    # every point lies in the same number r of blocks: each pair lies in
+    # lam >= 1 blocks, so k >= 2, and counting the flags (q, B) with q != p
+    # in the blocks B through a point p gives r_p(k - 1) = lam(v - 1)
+    params = DesignParameters(v=v, b=d.b, k=k, r=rows[0].bit_count(), lam=lam)
     for name, _, provenance in _DESIGN_CONDITIONS:
         binds = provenance == "trivial" or params.nontrivial
         if binds and not CONDITIONS[name](params):

@@ -7,7 +7,10 @@ residues of the generators are placed, each closing the basic orbits of
 the levels it joins, and ``_complete`` then sifts the Schreier generators
 from the deepest level up.  ``PermGroup.of_order`` places residues of
 random products until the orbit lengths multiply to a known order, and
-completes only if they do not.  New base points are the smallest points
+completes only if they do not; every group of known order is built that
+way, the setwise stabilizers of ``orbit_of_set`` too, to |G| / |orbit| from
+the Schreier generators of the set action, so the constructor is left for
+groups read from files.  New base points are the smallest points
 moved by each new residue.  The chain holds padded image tables
 ``(0,) + images``, so points stay 1-based and the product u*g (g after u)
 is ``tuple([g[x] for x in u])``; ``sift``, ``contains``,
@@ -389,7 +392,9 @@ class PermGroup:
         sifts in a row ``_complete`` finishes the chain as the constructor
         does.  An orbit product past ``order``, another order after
         ``_complete``, or a candidate outside the chain raises
-        AssertionError."""
+        AssertionError.  ``orbit_of_set`` builds a setwise stabilizer here
+        to |G| / |orbit|, so its generators are the Schreier generators
+        kept."""
         group, candidates = cls((), degree=degree), tuple(candidates)
         group.generators = tuple(g for g in candidates if group._grow((0,) + g.images))
         kept = [(0,) + g.images for g in group.generators]
@@ -464,11 +469,13 @@ class PermGroup:
 
     def orbit_of_set(self, points):
         """Orbit of a point set under the induced action on sets, plus the
-        setwise stabilizer, generated by the nonidentity Schreier generators
-        of the set action.
+        setwise stabilizer, built by ``of_order`` to |G| / |orbit| from the
+        Schreier generators of the set action; its ``generators`` are the
+        Schreier generators ``of_order`` keeps.
 
         Returns (orbit, stabilizer) where orbit is a list of frozensets in
-        BFS discovery order.  Asserts the orbit-stabilizer identity.
+        BFS discovery order.  Raises AssertionError if the orbit length does
+        not divide |G| or the Schreier generators give another order.
         """
         start = frozenset(points)
         for p in start:
@@ -485,11 +492,11 @@ class PermGroup:
                     orbit_list.append(img)
                 else:
                     schreier.append(ut * g * transversal[img].inverse())
-        stab = PermGroup([s for s in schreier if not s.is_identity()], degree=self.degree)
-        if len(orbit_list) * stab.order() != self.order():
-            raise AssertionError("orbit-stabilizer identity fails: %d * %d != %d"
-                                 % (len(orbit_list), stab.order(), self.order()))
-        return orbit_list, stab
+        order = self.order()
+        if order % len(orbit_list):
+            raise AssertionError("orbit length %d does not divide the group order %d"
+                                 % (len(orbit_list), order))
+        return orbit_list, PermGroup.of_order(schreier, order // len(orbit_list), self.degree)
 
     # -- invariant partitions ---------------------------------------------
 

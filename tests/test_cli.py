@@ -16,7 +16,7 @@ from ftdesigns import autgrp, cli, design, feasibility, perm
 from ftdesigns.construct import construction_36, projective_design
 from ftdesigns.design import Design, format_design_text
 from ftdesigns.perm import Permutation, format_cycles, format_group_text
-from ftdesigns.construct import semilinear_group_15, twisted_diagonal_group
+from ftdesigns.construct import design_96, semilinear_group_15, twisted_diagonal_group
 
 from test_design import odd_spelling
 from test_perm import _z2
@@ -174,6 +174,44 @@ def test_verify_pg3_with_semilinear_group(tmp_path):
     assert checks["flag-transitive"]["observed"] is True
     assert checks["block-systems"]["observed"] == 1
     assert checks["intersection-constant (c=3,d=5)"]["observed"] is True
+
+
+def test_verify_block_regular_group_is_not_flag_transitive(tmp_path):
+    """H1 is transitive on the 96 points of d96 h1/1 but has 20 orbits on
+    its 1,920 flags: every block system gets its intersection finding, and
+    no tuple is assembled without flag-transitivity."""
+    group, d = design_96("h1", 1)
+    dpath, gpath = tmp_path / "h1-1.dsg", tmp_path / "h1.grp"
+    dpath.write_text(format_design_text(d))
+    gpath.write_text(format_group_text(group))
+    code, text = run_cli(["verify", str(dpath), str(gpath), "--format", "json"])
+    assert code == cli.EXIT_CHECK_FAILURE
+    findings = json.loads(text)["findings"]
+    checks = {f["check"]: f for f in findings}
+    assert checks["point-transitive"]["observed"] is True
+    assert checks["flag-orbits"]["observed"] == 20
+    assert checks["flag-transitive"]["observed"] is False
+    assert checks["block-systems"]["observed"] == 111
+    names = [f["check"].split()[0] for f in findings]
+    assert names.count("intersection-constant") == 111
+    assert "feasible-tuple" not in names
+
+
+def test_verify_reports_a_tuple_that_fails_a_condition(tmp_path, monkeypatch):
+    """When `assemble_tuple` raises, `verify` reports the failed condition
+    as the observed value of that system's `feasible-tuple` finding."""
+    monkeypatch.setitem(feasibility.CONDITIONS, "block-size-split", lambda t: False)
+    dpath, gpath = tmp_path / "d36.dsg", tmp_path / "d36.grp"
+    dpath.write_text(format_design_text(construction_36()))
+    gpath.write_text(format_group_text(twisted_diagonal_group()))
+    code, text = run_cli(["verify", str(dpath), str(gpath), "--format", "json"])
+    assert code == cli.EXIT_CHECK_FAILURE
+    tuples = [f for f in json.loads(text)["findings"]
+              if f["check"].startswith("feasible-tuple")]
+    assert len(tuples) == 2
+    for f in tuples:
+        assert (f["expected"], f["ok"]) == ("feasible", False)
+        assert f["observed"] == "feasibility condition failed: block-size-split"
 
 
 def test_verify_design_only(tmp_path):

@@ -197,8 +197,9 @@ def test_triple_data_rejects_bad_letters():
 
 
 def test_construct_checks_survive_python_O():
-    """The group-order, triple-structure and block-count checks of
-    `construct` raise under `python -O`."""
+    """The group-order checks of `construct` (those of `PermGroup.of_order`),
+    and its triple-structure and block-count checks, raise under
+    `python -O`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     code = r"""
 from ftdesigns import construct
@@ -259,6 +260,51 @@ def test_package_has_no_bare_asserts():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_group_files_call_the_group_constructor():
+    """Every group whose order the package knows is built by
+    `PermGroup.of_order`, which checks the order, so only
+    `parse_group_text`, for a group file of unknown order, calls
+    `PermGroup(...)`."""
+    package = pathlib.Path(ftdesigns.__file__).parent
+    callers = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree)
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "PermGroup":
+                # the innermost enclosing function starts last
+                enclosing = max((f for f in functions if f[0] <= node.lineno <= f[1]),
+                                default=(0, 0, "<module>"))
+                callers.add("%s:%s" % (path.name, enclosing[2]))
+    assert callers == {"perm.py:parse_group_text"}
+
+
+def test_construct_groups_keep_their_generators(monkeypatch):
+    """The five groups of known order that `construct` builds come from
+    `PermGroup.of_order` and keep their listed generators, as each lies
+    outside the group of those before it."""
+    built = []
+    of_order = PermGroup.of_order.__func__
+
+    def recording(cls, candidates, order, degree):
+        candidates = tuple(candidates)
+        group = of_order(cls, candidates, order, degree)
+        built.append((order, degree, candidates == group.generators))
+        return group
+
+    monkeypatch.setattr(PermGroup, "of_order", classmethod(recording))
+    twisted_diagonal_group.__wrapped__()
+    model = FrobeniusModel()
+    model.group()
+    for triple in model.triples():
+        model.triple_data(*triple)
+    semilinear_group_15.__wrapped__()
+    assert built == ([(720, 36, True)] * 2 + [(8, 6, True), (16, 6, True)] * 45
+                     + [(360, 15, True)])
 
 
 def test_projective_design():

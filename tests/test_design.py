@@ -335,6 +335,15 @@ def test_tuple_of_rejects_partition_of_wrong_degree():
         tuple_of(k4, sym4, six)
 
 
+def test_tuple_of_rejects_a_partition_the_group_moves():
+    """Six parts of six that are not the grid's rows or columns: the twisted
+    group is flag-transitive on d36, but it does not keep the partition."""
+    swapped = [(1, 2, 3, 4, 5, 7), (6, 8, 9, 10, 11, 12)]
+    parts = swapped + [range(i, i + 6) for i in (13, 19, 25, 31)]
+    with pytest.raises(DesignError, match="partition is not invariant"):
+        tuple_of(construction_36(), twisted_diagonal_group(), BlockSystem(36, parts))
+
+
 def test_assemble_tuple_names_block_size_split():
     """c = 9 does not divide k - ell = 6, so no x gives k = xc + ell."""
     params = check_2_design(construction_36())

@@ -854,10 +854,12 @@ def test_group_file_errors():
 
 
 def test_perm_and_design_checks_survive_python_O(tmp_path):
-    """The orbit-stabilizer identity, the two block-system checks, the
-    Schreier-Sims placement check of `_complete`, the intersection-profile
-    check and the check that a flag orbit stays within the flags raise
-    under `python -O`.  For the placement check, a patched sift hands
+    """Both orbit-stabilizer checks of `orbit_of_set` (an orbit length that
+    does not divide the order, and a stabilizer that `of_order` cannot
+    build to the quotient), the two block-system checks, the Schreier-Sims
+    placement check of `_complete`, the intersection-profile check and the
+    check that a flag orbit stays within the flags raise under
+    `python -O`.  For the placement check, a patched sift hands
     `_complete` a residue that moves base point 1.  For the flag orbit,
     `design.flags` is cut to its first flag, so the orbit of that flag
     leaves the items `orbits_on` was given.  `python -O -m ftdesigns aut` on
@@ -891,7 +893,9 @@ def joined_by(classes):  # block_systems of cyclic4, each join on 4 points givin
 
 min_partition = perm._min_partition
 wrong_order = cyclic4()
-wrong_order.order = lambda: 7
+wrong_order.order = lambda: 7  # the orbit length 4 does not divide it
+twice_the_order = cyclic4()
+twice_the_order.order = lambda: 8  # so `of_order` builds a trivial stabilizer to order 2
 unequal = joined_by([[0, 1, 2], [3]])
 not_invariant = joined_by([[0, 1], [2, 3]])
 misplaced = cyclic4()
@@ -906,6 +910,7 @@ all_flags = design.flags
 design.flags = lambda d: all_flags(d)[:1]
 square = Design(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 print(raises(wrong_order.orbit_of_set, [1]),
+      raises(twice_the_order.orbit_of_set, [1]),
       raises(unequal),
       raises(not_invariant),
       raises(place_and_complete),
@@ -918,7 +923,7 @@ print(raises(wrong_order.orbit_of_set, [1]),
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 6
+    assert proc.stdout.split() == ["True"] * 7
     path = tmp_path / "pg3-1.dsg"
     path.write_text(format_design_text(_relabeled(projective_design(3), 1)))
     proc = subprocess.run([sys.executable, "-O", "-m", "ftdesigns", "--format", "json",
