@@ -430,11 +430,11 @@ class CensusReport:
 
 
 # The 90 ways to put two cells in each row and each column of a 4x4 grid,
-# each as its 8 (row, column) cells.
+# each as the index in _COLUMN_PAIRS of the column pair in each of the 4 rows.
+_COLUMN_PAIRS = tuple(combinations(range(4), 2))
 _TWO_IN_EACH_4X4 = tuple(
-    tuple((r, c) for r, pair in enumerate(choice) for c in pair)
-    for choice in product(combinations(range(4), 2), repeat=4)
-    if sorted(c for pair in choice for c in pair) == [0, 0, 1, 1, 2, 2, 3, 3]
+    choice for choice in product(range(len(_COLUMN_PAIRS)), repeat=4)
+    if sorted(c for i in choice for c in _COLUMN_PAIRS[i]) == [0, 0, 1, 1, 2, 2, 3, 3]
 )
 
 
@@ -444,8 +444,9 @@ def _qualifying_masks(rows, cols):
 
     Each is four rows, four columns and one of the 90 two-in-each 4x4
     patterns, with a cell standing for the point where its row meets its
-    column; that needs every row to meet every column in one point, and
-    then distinct cells are distinct points, so their bits add."""
+    column; that needs every row to meet every column in one point.  For
+    each of the four rows the six column pairs are two-bit masks, and a
+    pattern's mask is the OR of one row-pair mask per row."""
     meet = [[set(row) & set(col) for col in cols] for row in rows]
     if any(len(points) != 1 for line in meet for points in line):
         raise AssertionError("the two systems are not the rows and columns of a grid")
@@ -453,26 +454,36 @@ def _qualifying_masks(rows, cols):
     out = []
     for rs in combinations(range(len(rows)), 4):
         for cs in combinations(range(len(cols)), 4):
-            cells = [[bits[r][c] for c in cs] for r in rs]
-            out.extend(sum(cells[r][c] for r, c in p) for p in _TWO_IN_EACH_4X4)
+            p0, p1, p2, p3 = ([bits[r][cs[x]] | bits[r][cs[y]] for x, y in _COLUMN_PAIRS]
+                              for r in rs)
+            out.extend(p0[a] | p1[b] | p2[c] | p3[d] for a, b, c, d in _TWO_IN_EACH_4X4)
     return out
 
 
-def _mask_image(table, mask):
-    """The image of a 0-based point bitmask under a point table."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _byte_tables(g):
+    """For bits 0-7, 8-15, 16-23, 24-31 and 32-35 of a 0-based point bitmask,
+    a table: their value -> the bitmask of their points' images under g."""
+    tables = []
+    for base in range(0, 36, 8):
+        t = [0] * (1 << min(8, 36 - base))
+        for m in range(1, len(t)):
+            low = m & -m  # the point base + low.bit_length(), 1-based
+            t[m] = t[m ^ low] | 1 << g(base + low.bit_length()) - 1
+        tables.append(t)
+    return tables
+
+
+def _byte_image(tables, mask):
+    """The image of a 0-based 36-point bitmask: the OR of one lookup per byte."""
+    t0, t1, t2, t3, t4 = tables
+    return (t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16 & 255]
+            | t3[mask >> 24 & 255] | t4[mask >> 32])
 
 
 def _mask_orbits(masks, gens):
-    """Partition subset bitmasks into orbits under degree-36 generators;
-    raises AssertionError if an orbit leaves the family."""
-    tables = [[g(p + 1) - 1 for p in range(36)] for g in gens]
-    return orbits_on(masks, tables, _mask_image)
+    """Partition subset bitmasks into orbits under degree-36 generators, each
+    acting by its byte tables; raises AssertionError if an orbit leaves the family."""
+    return orbits_on(masks, [_byte_tables(g) for g in gens], _byte_image)
 
 
 def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:

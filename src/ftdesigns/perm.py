@@ -241,7 +241,7 @@ class BlockSystem:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inverses", "orbit_list", "done")
+    __slots__ = ("point", "gens", "transversal", "inverses", "orbit_list", "done", "edge")
 
     def __init__(self, point, identity):
         self.point = point
@@ -250,6 +250,7 @@ class _Level:
         self.inverses = dict(self.transversal)  # orbit point -> transversal[q]^-1
         self.orbit_list = [point]
         self.done = {point: 0}  # orbit point p -> gens[:done[p]] are paired with p
+        self.edge = {}  # orbit point q -> k: q was reached by gens[k], building transversal[q]
 
     def inverse(self, q):
         """transversal[q]^-1, built on first use (most never are); None off the orbit."""
@@ -291,8 +292,9 @@ class PermGroup:
     # under them whenever a generator has been placed.  Level i is complete
     # once every Schreier generator of that orbit sifts to the identity
     # through the deeper levels; each (orbit point, generator) pair is
-    # sifted once.  ``_complete`` walks the levels with one level pointer
-    # (Holt, Eick & O'Brien 2005, 4.4.2).
+    # sifted once, but for the tree edges that built the transversal (their
+    # Schreier generators are trivial).  ``_complete`` walks the levels with
+    # one level pointer (Holt, Eick & O'Brien 2005, 4.4.2).
 
     def _place_gen(self, h):
         """Append a nonidentity strong generator h to the gens of every level
@@ -310,13 +312,14 @@ class PermGroup:
         for level in self._levels[: j + 1]:
             level.gens.append(h)
             transversal, orbit, old = level.transversal, level.orbit_list, len(level.orbit_list)
-            for k, p in enumerate(orbit):  # grows while the loop runs
-                for g in (h,) if k < old else level.gens:  # old points: closed under the rest
+            for n, p in enumerate(orbit):  # grows while the loop runs
+                # the old points are closed under the other gens
+                for k, g in ((len(level.gens) - 1, h),) if n < old else enumerate(level.gens):
                     q = g[p]
                     if q not in transversal:
                         transversal[q] = tuple([g[x] for x in transversal[p]])
                         orbit.append(q)
-                        level.done[q] = 0
+                        level.done[q], level.edge[q] = 0, k
         return j
 
     def _sift_from(self, i, h):
@@ -349,11 +352,14 @@ class PermGroup:
         residue, or None once level i is complete."""
         level = self._levels[i]
         gens, transversal = level.gens, level.transversal
-        done, identity = level.done, self._identity
+        done, edge, identity = level.done, level.edge, self._identity
         for p in level.orbit_list:
             up = transversal[p]
             for k, g in enumerate(gens[done[p]:], done[p]):
-                q, ug = g[p], tuple([g[x] for x in up])
+                q = g[p]
+                if edge.get(q) == k:  # the tree edge p -> q: ug is transversal[q]
+                    continue
+                ug = tuple([g[x] for x in up])
                 # the Schreier generator ug * inverses[q] is trivial iff ug == transversal[q]
                 if ug != transversal[q]:
                     u_inv = level.inverse(q)

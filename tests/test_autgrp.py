@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from ftdesigns.autgrp import (
     ResourceCapExceeded,
     _Search,
     _common_depth,
+    _mask_orbits,
     _proved_order,
     _qualifying_masks,
     are_isomorphic,
@@ -662,14 +663,65 @@ def test_certificate_golden():
         assert hashlib.sha256(canonical_form(d).certificate).hexdigest() == digest
 
 
+def _census_masks():
+    group = twisted_diagonal_group()
+    systems = group.block_systems()
+    return _qualifying_masks(systems[0].parts, systems[1].parts), group.generators
+
+
 def test_qualifying_masks_golden():
     # sha256 of the sorted census masks, as counted by the row-by-row search
     # over column tallies that the grid-pattern construction replaced
-    systems = twisted_diagonal_group().block_systems()
-    masks = _qualifying_masks(systems[0].parts, systems[1].parts)
+    masks, _ = _census_masks()
     assert len(set(masks)) == len(masks) == 20250
     digest = hashlib.sha256(",".join(map(str, sorted(masks))).encode()).hexdigest()
     assert digest == "60813731080a09517de62bc579045869b69ecb9a464d133a8c291b24f212fe31"
+
+
+def test_census_orbits_golden():
+    # sha256 of the orbits as the bit-walking mask image gave them
+    masks, gens = _census_masks()
+    orbits = _mask_orbits(masks, gens)
+    text = ";".join(",".join(map(str, orbit)) for orbit in orbits)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ef0fd11832da9179046699a62288ad91527f0a8682e4ed1659164752313bda4")
+    assert len(orbits) == 42
+    assert sorted({len(orbit) for orbit in orbits}) == [90, 180, 360, 720]
+
+
+def _reference_mask_image(table, mask):
+    """The image of a 0-based point bitmask under a point table, bit by bit."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def test_byte_tables_match_the_bit_walk():
+    masks, gens = _census_masks()
+    cycle36 = Permutation(list(range(2, 37)) + [1])
+    rng = random.Random(2026)
+    random_masks = [rng.getrandbits(36) for _ in range(1000)]
+    assert sum(1 for mask in random_masks if mask >> 32) > 900
+    for group_gens, cases in ((gens, masks + random_masks), ((cycle36,), random_masks)):
+        for g in group_gens:
+            tables = autgrp._byte_tables(g)
+            assert [len(t) for t in tables] == [256, 256, 256, 256, 16]
+            points = [g(p + 1) - 1 for p in range(36)]
+            for mask in cases:
+                assert autgrp._byte_image(tables, mask) == _reference_mask_image(points, mask)
+
+
+def test_two_in_each_pattern_table():
+    brute = [rows for rows in product(product((0, 1), repeat=4), repeat=4)
+             if all(sum(row) == 2 for row in rows)
+             and all(sum(row[c] for row in rows) == 2 for c in range(4))]
+    assert len(brute) == len(autgrp._TWO_IN_EACH_4X4) == 90
+    decoded = [tuple(tuple(int(c in autgrp._COLUMN_PAIRS[i]) for c in range(4)) for i in choice)
+               for choice in autgrp._TWO_IN_EACH_4X4]
+    assert sorted(decoded) == brute
 
 
 def test_qualifying_masks_need_a_grid():
