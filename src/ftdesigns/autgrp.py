@@ -5,7 +5,8 @@ point/block incidence structure, in the style of canonical graph labeling:
 
 - vertices are the v points followed by the b blocks, adjacency is
   incidence (the point rows of ``design._point_rows``, shifted past the
-  points), and the two color classes never mix;
+  points, and the block masks of ``Design.block_index``), and the two
+  color classes never mix;
 - the initial coloring splits points by (degree, multiset of co-block
   counts with the other points) and blocks by (size, multiset of pairwise
   intersection sizes) -- this invariant set is fixed; changing it would
@@ -138,8 +139,7 @@ class _Search:
         self.node_cap = node_cap
         self.v = design.v
         self.b = design.b
-        self.adj = [row << self.v for row in _point_rows(design)] + [
-            sum(1 << (p - 1) for p in blk) for blk in design.blocks]
+        self.adj = [row << self.v for row in _point_rows(design)] + list(design.block_index)
         self.nodes = 0
         self.first: Optional[_Leaf] = None
         self.best: Optional[_Leaf] = None
@@ -220,7 +220,7 @@ class _Search:
                     for u in cell:
                         buckets.setdefault((adj[u] & smask).bit_count(), []).append(u)
                     keys = sorted(buckets)
-                    trace.append((si, ci, tuple(keys), tuple(len(buckets[k]) for k in keys)))
+                    trace.append((si, ci, tuple(keys), tuple([len(buckets[k]) for k in keys])))
                     parts.append((ci, [tuple(buckets[k]) for k in keys]))
                 if parts:
                     newcells = list(cells)
@@ -244,7 +244,11 @@ class _Search:
     @staticmethod
     def _individualize(cells, ci, w):
         cell = cells[ci]
-        rest = tuple(u for u in cell if u != w)
+        # the search builds its tuples from lists, not generators: CPython
+        # grows a tuple read from a generator, so it bypasses the free list
+        # of its size but joins it when freed, and such tuples pile up there
+        # until a full garbage collection
+        rest = tuple([u for u in cell if u != w])
         return cells[:ci] + ((w,), rest) + cells[ci + 1 :]
 
     # -- leaves -----------------------------------------------------------
@@ -266,7 +270,7 @@ class _Search:
         key = tuple(gmap)
         if key in self.autos:
             return True
-        perm = Permutation(u + 1 for u in key[: self.v])
+        perm = Permutation([u + 1 for u in key[: self.v]])
         if not is_automorphism(self.design, perm):
             return False
         self.autos[key] = perm

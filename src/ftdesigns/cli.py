@@ -245,9 +245,10 @@ def _verify_design(report, d):
     report.add("parameters (v,b,k,r,lambda)", params.as_tuple(), params.as_tuple(),
                "derived", informational=True)
     report.add("nontrivial (2<k<v)", True, params.nontrivial, "derived")
+    # the "derived" conditions bind only when 2 < k < v, as in check_2_design
     for name, formula, provenance in design._DESIGN_CONDITIONS:
-        report.add("%s %s" % (name, formula), True,
-                   feasibility.CONDITIONS[name](params), provenance)
+        report.add("%s %s" % (name, formula), True, feasibility.CONDITIONS[name](params),
+                   provenance, informational=provenance == "derived" and not params.nontrivial)
     return params
 
 

@@ -61,7 +61,7 @@ def check_point_cap(d: Design):
 class Design:
     """v points and a lexicographically sorted list of distinct sorted blocks."""
 
-    __slots__ = ("v", "blocks", "_block_set")  # the cache is not a field
+    __slots__ = ("v", "blocks", "_block_index")  # the cache is not a field
     v: int
     blocks: tuple
 
@@ -84,18 +84,20 @@ class Design:
                 raise DesignError("repeated block %r (designs here are simple)" % (a,))
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "blocks", tuple(norm))
-        object.__setattr__(self, "_block_set", None)  # built by block_set
+        object.__setattr__(self, "_block_index", None)  # built by block_index
 
     @property
     def b(self):
         return len(self.blocks)
 
     @property
-    def block_set(self):
-        """The blocks as a frozenset of frozensets, built on first use."""
-        if self._block_set is None:
-            object.__setattr__(self, "_block_set", frozenset(map(frozenset, self.blocks)))
-        return self._block_set
+    def block_index(self):
+        """Each block's point mask (bit p - 1 for point p) mapped to the
+        block's index, in block order; built on first use."""
+        if self._block_index is None:
+            object.__setattr__(self, "_block_index", {
+                sum(1 << (p - 1) for p in blk): j for j, blk in enumerate(self.blocks)})
+        return self._block_index
 
     def relabel(self, p: Permutation):
         if p.degree != self.v:
@@ -223,30 +225,44 @@ def flags(d: Design):
     return [(point, j) for j, blk in enumerate(d.blocks) for point in blk]
 
 
-def is_automorphism(d: Design, p: Permutation) -> bool:
+def _block_images(d: Design, p: Permutation):
+    """The index of each block's image under p, in block order, or None
+    when p's degree is not v or some image is not a block.  Images are
+    point masks looked up in ``Design.block_index``."""
     if p.degree != d.v:
-        return False
-    return all(p.image_of_set(blk) in d.block_set for blk in d.blocks)
+        return None
+    index = d.block_index
+    bits = [0] + [1 << (y - 1) for y in p.images]
+    images = []
+    for blk in d.blocks:
+        images.append(index.get(sum(map(bits.__getitem__, blk))))
+        if images[-1] is None:
+            return None
+    return images
+
+
+def is_automorphism(d: Design, p: Permutation) -> bool:
+    """Whether p has degree v and carries every block onto a block."""
+    return _block_images(d, p) is not None
 
 
 def flag_orbit_count(g: PermGroup, d: Design) -> int:
     """Number of orbits of g on the flags of d.
 
     Each generator acts on a flag (point, block index) by its point table
-    and its table of block indices.  Raises GeneratorNotAutomorphism for a
-    generator whose degree is not v or that does not preserve the block set.
+    and its table of block indices (``_block_images``).  Raises
+    GeneratorNotAutomorphism for a generator whose degree is not v or that
+    does not preserve the block set.
     """
-    index = {frozenset(blk): j for j, blk in enumerate(d.blocks)}
     tables = []
     for gen in g.generators:
         if gen.degree != d.v:
             raise GeneratorNotAutomorphism(
                 "generator %r has degree %d, not v = %d" % (gen, gen.degree, d.v))
-        blocks = [index.get(gen.image_of_set(blk)) for blk in d.blocks]
-        if None in blocks:
+        blocks = _block_images(d, gen)
+        if blocks is None:
             raise GeneratorNotAutomorphism(
-                "generator %r does not preserve the block set" % (gen,)
-            )
+                "generator %r does not preserve the block set" % (gen,))
         tables.append(((0,) + gen.images, blocks))
     return len(orbits_on(flags(d), tables, _flag_image))
 
@@ -267,30 +283,26 @@ def intersection_profile(d: Design, c: BlockSystem) -> IntersectionProfile:
 
     If all nonempty intersections share one size ell, reports ell and the
     number of parts met per block (= k/ell); otherwise reports a
-    counterexample witness.
+    counterexample witness.  Blocks and parts meet as point masks.
     """
     if c.degree != d.v:
         raise DesignError("partition degree %d != v %d" % (c.degree, d.v))
-    parts = [frozenset(part) for part in c.parts]
+    if not d.blocks:
+        raise DesignError("design has no blocks")
+    parts = [sum(1 << (p - 1) for p in part) for part in c.parts]
     ell = None
-    for j, blk in enumerate(d.blocks):
-        bs = frozenset(blk)
+    for j, mask in enumerate(d.block_index):
         for i, part in enumerate(parts):
-            size = len(bs & part)
+            size = (mask & part).bit_count()
             if size == 0:
                 continue
             if ell is None:
                 ell = size
             elif size != ell:
-                return IntersectionProfile(
-                    ell=ell,
-                    parts_met_per_block=0,
-                    constant=False,
-                    witness=(j, i, size, ell),
-                )
-    if ell is None:
-        raise AssertionError("design has no nonempty block/part intersection")
-    # c partitions 1..v, so each block's nonempty intersections sum to its size
+                return IntersectionProfile(ell=ell, parts_met_per_block=0, constant=False,
+                                           witness=(j, i, size, ell))
+    # c partitions 1..v, so every (nonempty) block meets a part, and each
+    # block's nonempty intersections sum to its size
     return IntersectionProfile(ell=ell, parts_met_per_block=len(d.blocks[0]) // ell,
                                constant=True)
 
@@ -351,16 +363,19 @@ def parse_design_text(text: str) -> Design:
     except ValueError:  # more digits than int() converts
         raise DesignError("bad header line: %r" % lines[0]) from None
     # canonical spellings map through one table, which also shares one int
-    # per point; any other spelling int() accepts ("01", "+2") falls back
+    # per point; any other spelling int() accepts ("01", "+2") falls back.
+    # A block is built from a list: CPython grows a tuple read from an
+    # iterator, so it bypasses the free list of its size but joins it when
+    # freed, and such tuples pile up there until a full garbage collection
     numbers = {str(p): p for p in range(1, min(v, MAX_POINTS) + 1)}
     blocks = []
     for ln in lines[1:]:
         tokens = ln.split()
         try:
-            blk = tuple(map(numbers.__getitem__, tokens))
+            blk = tuple([numbers[t] for t in tokens])
         except KeyError:
             try:
-                blk = tuple(map(int, tokens))
+                blk = tuple([int(t) for t in tokens])
             except ValueError:
                 raise DesignError("bad block line: %r" % ln) from None
         blocks.append(blk)

@@ -206,8 +206,7 @@ class BlockSystem:
     parts: tuple  # sorted tuple of sorted parts
 
     def __init__(self, degree, parts):
-        parts = tuple(tuple(sorted(part)) for part in parts)
-        parts = tuple(sorted(parts))
+        parts = tuple(sorted(tuple(sorted(part)) for part in parts))
         covered = [p for part in parts for p in part]
         if sorted(covered) != list(range(1, degree + 1)):
             raise ValueError("parts do not partition 1..%d" % degree)

@@ -224,6 +224,34 @@ def test_verify_design_only(tmp_path):
     assert tuple(checks["parameters (v,b,k,r,lambda)"]["observed"]) == (36, 90, 8, 20, 4)
 
 
+@pytest.mark.parametrize("text, params, derived", [
+    ("v 4\n1 2 3 4\n", (4, 1, 4, 1, 1), [False] * 3),
+    ("v 3\n1 2\n1 3\n2 3\n", (3, 3, 2, 2, 1), [True] * 3),
+], ids=["single-block", "triangle"])
+def test_verify_trivial_design(tmp_path, text, params, derived):
+    """On a trivial 2-design (k = 2 or k = v) the "derived" conditions do
+    not bind, as in check_2_design: verify reports them as informational,
+    and only the nontrivial row fails."""
+    dpath = tmp_path / "trivial.dsg"
+    dpath.write_text(text)
+    code, out = run_cli(["verify", str(dpath), "--format", "json"])
+    assert code == cli.EXIT_CHECK_FAILURE
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    checks = {f["check"]: f for f in payload["findings"]}
+    assert tuple(checks["parameters (v,b,k,r,lambda)"]["observed"]) == params
+    assert [f["check"] for f in payload["findings"] if f["ok"] is False] == \
+        ["nontrivial (2<k<v)"]
+    rows = {"%s %s" % (name, formula): provenance
+            for name, formula, provenance in design._DESIGN_CONDITIONS}
+    assert [checks[row]["ok"] for row in rows if rows[row] == "trivial"] == [True] * 2
+    assert [(checks[row]["ok"], checks[row]["observed"])
+            for row in rows if rows[row] == "derived"] == [(None, ok) for ok in derived]
+    _, text_out = run_cli(["verify", str(dpath)])
+    assert [ln.split()[1] for ln in text_out.splitlines() if ln.startswith("FAIL")] == \
+        ["nontrivial"]
+
+
 def test_verify_reads_every_int_spelling(tmp_path):
     """A design file whose points are spelled "07", "+7", "７" or "0_7"
     gets the same report as its canonical file."""

@@ -411,7 +411,7 @@ def test_orbit_design_matches_set_orbit():
     for group, block in cases:
         orbit, _ = group.orbit_of_set(block)
         d = orbit_design(group, block)
-        assert d.block_set == frozenset(orbit) and d.b == len(orbit)
+        assert {frozenset(blk) for blk in d.blocks} == set(orbit) and d.b == len(orbit)
     assert orbit_design(*cases[1]) == construction_36_cosets()
 
 

@@ -3,13 +3,15 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import combinations
-from math import comb
+from dataclasses import fields
+from itertools import combinations, permutations
+from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 
 import ftdesigns
-from ftdesigns import design, feasibility
+from ftdesigns import autgrp, design, feasibility
 from ftdesigns.autgrp import automorphism_group
 from ftdesigns.construct import (
     construction_36,
@@ -210,14 +212,34 @@ def test_flag_transitivity():
     assert not ok and norbits == len(flags(d))
 
 
+def reference_block_images(d):
+    """A frozenset oracle for `design._block_images`: returns a function
+    that takes a permutation p and gives the index of each block's image
+    under p, in block order, or None when p's degree is not v or p carries
+    some block onto a set that is not a block."""
+    index = {frozenset(blk): j for j, blk in enumerate(d.blocks)}
+
+    def images(p):
+        if p.degree != d.v:
+            return None
+        found = []
+        for blk in d.blocks:
+            found.append(index.get(frozenset(map(p, blk))))
+            if found[-1] is None:
+                return None
+        return found
+    return images
+
+
 def _reference_flag_orbit_count(g, d):
     """Flag orbits counted as `flag_orbit_count` did before it acted on the
     flags: the point orbits of the setwise stabilizer of one block in each
     block orbit."""
+    carries = reference_block_images(d)
     for gen in g.generators:
-        if not is_automorphism(d, gen):
+        if carries(gen) is None:
             raise GeneratorNotAutomorphism(gen)
-    unseen = set(d.block_set)
+    unseen = {frozenset(blk) for blk in d.blocks}
     total = 0
     for block in d.blocks:
         if frozenset(block) not in unseen:
@@ -269,6 +291,64 @@ def test_flag_orbit_count_rejects_non_automorphisms():
             flag_orbit_count(PermGroup([gen]), d)
 
 
+def check_block_images(d, perms):
+    """`is_automorphism` and the block tables that `flag_orbit_count` hands
+    to `orbits_on` agree with `reference_block_images` on every p in
+    perms; a p that is not an automorphism raises GeneratorNotAutomorphism,
+    with the degree message when its degree is not v.  Returns how many of
+    perms are automorphisms."""
+    carries = reference_block_images(d)
+    tables = []
+    found = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(design, "orbits_on", lambda items, t, action: tables.extend(t) or [])
+        for p in perms:
+            want = carries(p)
+            assert is_automorphism(d, p) == (want is not None)
+            group = SimpleNamespace(generators=[p])  # flag_orbit_count reads only these
+            if want is None:
+                message = "has degree" if p.degree != d.v else "does not preserve"
+                with pytest.raises(GeneratorNotAutomorphism, match=message):
+                    flag_orbit_count(group, d)
+                continue
+            tables.clear()
+            flag_orbit_count(group, d)
+            assert tables == [((0,) + p.images, want)]
+            found += 1
+    return found
+
+
+def test_block_images_match_the_frozenset_reference(monkeypatch):
+    """Every permutation the automorphism search tests on d36, pg 3 and
+    d96 h1/1, the generators it returns and words in them, and seeded
+    random permutations (none of them automorphisms) of degree v - 1, v
+    and v + 1."""
+    rng = random.Random(27)
+    for d in (construction_36(), projective_design(3), design_96("h1", 1)[1]):
+        tested = []
+        with monkeypatch.context() as m:
+            m.setattr(autgrp, "is_automorphism",
+                      lambda x, p, _test=autgrp.is_automorphism: tested.append(p) or _test(x, p))
+            gens = automorphism_group(d).group.generators
+        assert tested and check_block_images(d, tested) >= len(gens)
+        words = [prod(rng.choices(gens, k=5), start=Permutation.identity(d.v))
+                 for _ in range(20)]
+        assert check_block_images(d, list(gens) + words) == len(gens) + len(words)
+        for n in (d.v - 1, d.v, d.v + 1):
+            perms = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(20)]
+            assert check_block_images(d, perms) == 0
+
+
+def test_block_images_with_a_point_in_no_block():
+    """Points 4 and 5 lie in no block of this triangle: every permutation
+    of the five points that maps {4, 5} onto itself is an automorphism."""
+    d = Design(5, [(1, 2), (1, 3), (2, 3)])
+    perms = [Permutation(images) for images in permutations(range(1, 6))]
+    assert check_block_images(d, perms) == 12
+    for n in (4, 6):
+        assert check_block_images(d, [Permutation.identity(n)]) == 0
+
+
 def test_flag_transitive_implies_point_and_block_transitive():
     d = construction_36()
     g = twisted_diagonal_group()
@@ -307,8 +387,14 @@ def test_intersection_profile_non_constant():
     prof = intersection_profile(Design(4, [(1, 3), (1, 2)]), c4.block_systems()[0])
     # (block index, part index, size, ell): block (1, 3) is part {1, 3}
     assert not prof.constant and prof.witness == (1, 0, 2, 1)
-    with pytest.raises(AssertionError, match="no nonempty"):
+
+
+def test_intersection_profile_of_a_design_without_blocks():
+    c4 = PermGroup([parse_cycles("(1,2,3,4)", 4)])
+    with pytest.raises(DesignError, match="^design has no blocks$"):
         intersection_profile(Design(4, []), c4.block_systems()[0])
+    with pytest.raises(DesignError, match="partition degree"):  # checked first
+        intersection_profile(Design(5, []), c4.block_systems()[0])
 
 
 def test_tuple_of_golden():
@@ -455,20 +541,27 @@ def test_parsed_blocks_share_point_objects():
     assert shared and all(p is first[p] for p in shared)
 
 
-def test_block_set_is_built_lazily():
+def test_block_index_is_built_lazily():
     d = projective_design(5)
     twin = Design(d.v, d.blocks)
-    assert d._block_set is None
+    assert d._block_index is None
     check_2_design(d)
-    assert d._block_set is None
-    blocks = d.block_set
-    assert blocks == {frozenset(blk) for blk in d.blocks}
-    assert d.block_set is blocks
-    assert d == twin and hash(d) == hash(twin)  # the cache takes no part
-    for name in ("v", "blocks", "_block_set", "other"):
+    assert d._block_index is None
+    index = d.block_index
+    # block j's mask, as a binary numeral with point v's digit first
+    assert list(index.items()) == [
+        (int("".join("1" if p in blk else "0" for p in range(d.v, 0, -1)), 2), j)
+        for j, blk in enumerate(d.blocks)]
+    assert d.block_index is index
+    assert "_block_index" not in {f.name for f in fields(d)}
+    # the cache takes no part in ==, hash or repr, built or not
+    assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+    assert twin.block_index == index and twin.block_index is not index
+    assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+    for name in ("v", "blocks", "_block_index", "other"):
         with pytest.raises(AttributeError):
             setattr(d, name, None)
-    assert d.block_set is blocks
+    assert d.block_index is index
 
 
 def _peak_mib(fn, *args):
@@ -494,6 +587,14 @@ def test_point_rows_buffer_is_chunked():
     d = Design(300, combinations(range(1, 301), 2))
     assert d.b > design._ROW_CHUNK
     assert _peak_mib(check_2_design, d) < 8
+
+
+def test_automorphism_test_memory():
+    """The automorphism test on pg 7 (255 points and blocks) builds one
+    mask per block: 41 KiB at its peak, against 2,113 KiB for a block set
+    of frozensets."""
+    d, p = projective_design(7), Permutation.identity(255)
+    assert _peak_mib(is_automorphism, d, p) * 1024 < 256
 
 
 def _reference_point_rows(d):

@@ -1,6 +1,7 @@
 """Property tests on generated designs of 2 to 8 points: `check_2_design`
-against a brute-force pair count, canonical certificates against
-relabeling, and automorphism group orders against brute force."""
+against a brute-force pair count, the automorphism test against a
+frozenset reference, canonical certificates against relabeling, and
+automorphism group orders against brute force."""
 
 import pytest
 
@@ -12,7 +13,7 @@ from ftdesigns.autgrp import automorphism_group, canonical_form  # noqa: E402
 from ftdesigns.design import Design, NotTwoDesignError, check_2_design  # noqa: E402
 from ftdesigns.perm import Permutation, closure  # noqa: E402
 from test_autgrp import brute_aut_order  # noqa: E402
-from test_design import naive_pair_check  # noqa: E402
+from test_design import check_block_images, naive_pair_check  # noqa: E402
 
 # Under 1 s per test on a 2-core host.  The slowest example, a brute-force
 # automorphism count over the 40,320 permutations of 8 points, takes about
@@ -52,6 +53,16 @@ def test_check_2_design_matches_pair_count(d):
     except NotTwoDesignError:
         got = None
     assert got == naive_pair_check(d)
+
+
+@PROPERTY_SETTINGS
+@given(designs(), st.data())
+def test_block_images_match_the_frozenset_reference(d, data):
+    """On a random permutation of degree v - 1, v or v + 1, and on each
+    generator of Aut, so that every example tests an automorphism."""
+    n = data.draw(st.sampled_from([d.v - 1, d.v, d.v + 1]))
+    perms = [data.draw(_permutations(n))] + list(automorphism_group(d).group.generators)
+    assert check_block_images(d, perms) >= len(perms) - 1
 
 
 @PROPERTY_SETTINGS
