@@ -245,10 +245,9 @@ def _verify_design(report, d):
     report.add("parameters (v,b,k,r,lambda)", params.as_tuple(), params.as_tuple(),
                "derived", informational=True)
     report.add("nontrivial (2<k<v)", True, params.nontrivial, "derived")
-    # the "derived" conditions bind only when 2 < k < v, as in check_2_design
-    for name, formula, provenance in design._DESIGN_CONDITIONS:
-        report.add("%s %s" % (name, formula), True, feasibility.CONDITIONS[name](params),
-                   provenance, informational=provenance == "derived" and not params.nontrivial)
+    for name, formula, provenance, holds, binds in design.condition_rows(params):
+        report.add("%s %s" % (name, formula), True, holds, provenance,
+                   informational=not binds)
     return params
 
 
@@ -349,16 +348,11 @@ def cmd_bounds(args, out):
         tuples = feasibility.feasible_tuples(lam)
         max_k = max((t.k for t in tuples), default=0)
         max_v = max((t.v for t in tuples), default=0)
-        report.add("k-first-bound lambda=%d" % lam, br.k_first, br.k_first,
-                   "derived", informational=True)
-        report.add("k-main-bound lambda=%d" % lam, br.k_main, br.k_main,
-                   "derived", informational=True)
-        report.add("v-main-bound lambda=%d" % lam, br.v_main, br.v_main,
-                   "derived", informational=True)
-        report.add("observed-max-k lambda=%d" % lam, max_k, max_k,
-                   "derived", informational=True)
-        report.add("observed-max-v lambda=%d" % lam, max_v, max_v,
-                   "derived", informational=True)
+        for label, value in (("k-first-bound", br.k_first), ("k-main-bound", br.k_main),
+                             ("v-main-bound", br.v_main), ("observed-max-k", max_k),
+                             ("observed-max-v", max_v)):
+            report.add("%s lambda=%d" % (label, lam), value, value, "derived",
+                       informational=True)
         report.add("max-k-within-first-bound lambda=%d" % lam, True,
                    max_k <= br.k_first, "derived")
         # The main bound binds the numeric enumeration only for lambda 3

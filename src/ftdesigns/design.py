@@ -6,7 +6,12 @@ constant pair coverage), the standard counting identities and inequalities
 relating (v, b, k, r, lambda), flags and flag-transitivity of an acting
 group (orbits on the (point, block index) flags, by ``perm.orbits_on``),
 and the constancy of block/part intersections against an invariant
-partition.
+partition.  ``condition_rows`` says which counting conditions bind (the
+one place the 2 < k < v rule is written); blocks are point masks
+(``Design.block_index``), and every automorphism test maps them through
+``perm._mask_images``, the image test that partitions use too.  Design
+files are read with ``perm._read_counted_lines``, the reader of group
+files.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .feasibility import CONDITIONS, FeasibleTuple, condition_failures
-from .perm import BlockSystem, PermGroup, Permutation, orbits_on
+from .perm import (BlockSystem, PermGroup, Permutation, _mask_images, _read_counted_lines,
+                   orbits_on)
 
 
 class DesignError(ValueError):
@@ -134,8 +140,7 @@ class IntersectionProfile:
 
 # The feasibility conditions that check_2_design tests on (v, b, k, r,
 # lambda), in order, as (name, formula, provenance); verify reports them
-# under these labels.  The "trivial" identities bind for every design, the
-# "derived" inequalities only when 2 < k < v.
+# under these labels, as condition_rows gives them.
 _DESIGN_CONDITIONS = (
     ("replication-count", "r(k-1)=lambda(v-1)", "trivial"),
     ("flag-count", "bk=vr", "trivial"),
@@ -145,15 +150,25 @@ _DESIGN_CONDITIONS = (
 )
 
 
+def condition_rows(params: DesignParameters):
+    """Each ``_DESIGN_CONDITIONS`` row as (name, formula, provenance, holds,
+    binds) for params: the "trivial" identities bind for every design, the
+    "derived" inequalities only when 2 < k < v."""
+    nontrivial = params.nontrivial
+    return [(name, formula, provenance, CONDITIONS[name](params),
+             provenance == "trivial" or nontrivial)
+            for name, formula, provenance in _DESIGN_CONDITIONS]
+
+
 def check_2_design(d: Design) -> DesignParameters:
     """Verify the 2-design axioms and counting identities.
 
     Block size must be constant, every point pair must lie in the same
     number of blocks (counted over all pairs on bit-set point rows), and
-    the derived (v, b, k, r, lambda) must pass the ``_DESIGN_CONDITIONS``
-    entries of ``feasibility.CONDITIONS``.  Raises NotTwoDesignError naming
-    the first violated condition, with a witness, and PointCapExceeded when
-    v is above MAX_POINTS.
+    the derived (v, b, k, r, lambda) must pass every ``condition_rows``
+    row that binds.  Raises NotTwoDesignError naming the first violated
+    condition, with a witness, and PointCapExceeded when v is above
+    MAX_POINTS.
     """
     if d.b == 0:
         raise NotTwoDesignError("no-blocks")
@@ -186,9 +201,8 @@ def check_2_design(d: Design) -> DesignParameters:
     # lam >= 1 blocks, so k >= 2, and counting the flags (q, B) with q != p
     # in the blocks B through a point p gives r_p(k - 1) = lam(v - 1)
     params = DesignParameters(v=v, b=d.b, k=k, r=rows[0].bit_count(), lam=lam)
-    for name, _, provenance in _DESIGN_CONDITIONS:
-        binds = provenance == "trivial" or params.nontrivial
-        if binds and not CONDITIONS[name](params):
+    for name, _, _, holds, binds in condition_rows(params):
+        if binds and not holds:
             raise NotTwoDesignError(name, params)
     return params
 
@@ -225,32 +239,17 @@ def flags(d: Design):
     return [(point, j) for j, blk in enumerate(d.blocks) for point in blk]
 
 
-def _block_images(d: Design, p: Permutation):
-    """The index of each block's image under p, in block order, or None
-    when p's degree is not v or some image is not a block.  Images are
-    point masks looked up in ``Design.block_index``."""
-    if p.degree != d.v:
-        return None
-    index = d.block_index
-    bits = [0] + [1 << (y - 1) for y in p.images]
-    images = []
-    for blk in d.blocks:
-        images.append(index.get(sum(map(bits.__getitem__, blk))))
-        if images[-1] is None:
-            return None
-    return images
-
-
 def is_automorphism(d: Design, p: Permutation) -> bool:
     """Whether p has degree v and carries every block onto a block."""
-    return _block_images(d, p) is not None
+    return _mask_images(p, d.v, d.blocks, d.block_index) is not None
 
 
 def flag_orbit_count(g: PermGroup, d: Design) -> int:
     """Number of orbits of g on the flags of d.
 
     Each generator acts on a flag (point, block index) by its point table
-    and its table of block indices (``_block_images``).  Raises
+    and its table of block indices (``perm._mask_images`` through
+    ``Design.block_index``).  Raises
     GeneratorNotAutomorphism for a generator whose degree is not v or that
     does not preserve the block set.
     """
@@ -259,7 +258,7 @@ def flag_orbit_count(g: PermGroup, d: Design) -> int:
         if gen.degree != d.v:
             raise GeneratorNotAutomorphism(
                 "generator %r has degree %d, not v = %d" % (gen, gen.degree, d.v))
-        blocks = _block_images(d, gen)
+        blocks = _mask_images(gen, d.v, d.blocks, d.block_index)
         if blocks is None:
             raise GeneratorNotAutomorphism(
                 "generator %r does not preserve the block set" % (gen,))
@@ -353,15 +352,7 @@ def parse_design_text(text: str) -> Design:
     """Read the design file format: line 1 exactly ``v <n>`` with n >= 1,
     then one block per non-empty, non-# line as ascending space-separated
     point indices."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "v" or not header[1].isdecimal():
-        raise DesignError("design file must start with a 'v <n>' line")
-    try:
-        v = int(header[1])
-    except ValueError:  # more digits than int() converts
-        raise DesignError("bad header line: %r" % lines[0]) from None
+    v, lines = _read_counted_lines(text, "design", "v", DesignError)
     # canonical spellings map through one table, which also shares one int
     # per point; any other spelling int() accepts ("01", "+2") falls back.
     # A block is built from a list: CPython grows a tuple read from an
@@ -369,7 +360,7 @@ def parse_design_text(text: str) -> Design:
     # freed, and such tuples pile up there until a full garbage collection
     numbers = {str(p): p for p in range(1, min(v, MAX_POINTS) + 1)}
     blocks = []
-    for ln in lines[1:]:
+    for ln in lines:
         tokens = ln.split()
         try:
             blk = tuple([numbers[t] for t in tokens])

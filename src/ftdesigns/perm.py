@@ -28,6 +28,10 @@ from one routine, ``closure`` (Holt, Eick & O'Brien 2005, 4.1) with the
 action passed in, and ``orbits_on`` built on it; only ``orbit_of_set``
 keeps its own loop, because it builds a transversal of point sets as it
 goes, and only ``_place_gen`` grows basic orbits.
+
+One image test on point masks, ``_mask_images``, answers every
+automorphism and invariance test; one reader, ``_read_counted_lines``,
+reads the header and body lines of group and design files.
 """
 
 from __future__ import annotations
@@ -228,12 +232,9 @@ class BlockSystem:
         return len(self.parts[0])
 
     def is_invariant_under(self, perms):
-        partset = {frozenset(part) for part in self.parts}
-        for g in perms:
-            for part in self.parts:
-                if g.image_of_set(part) not in partset:
-                    return False
-        return True
+        """Whether each of perms has this degree and maps parts onto parts."""
+        index = {sum(1 << (p - 1) for p in part): i for i, part in enumerate(self.parts)}
+        return all(_mask_images(g, self.degree, self.parts, index) is not None for g in perms)
 
     def __repr__(self):
         return "BlockSystem(c=%d, d=%d)" % (self.part_size, self.num_parts)
@@ -565,6 +566,21 @@ class PermGroup:
         )
 
 
+def _mask_images(p, degree, sets, index):
+    """The value in ``index`` of the point mask (bit x - 1 for point x) of
+    each set's image under p, in order; None if p's degree is not
+    ``degree`` or an image mask is not in ``index``."""
+    if p.degree != degree:
+        return None
+    bits = [0] + [1 << (y - 1) for y in p.images]
+    images = []
+    for s in sets:
+        images.append(index.get(sum(map(bits.__getitem__, s))))
+        if images[-1] is None:
+            return None
+    return images
+
+
 def _min_partition(degree, tables, seed):
     """Finest congruence of the action on the points 0..degree-1 given by
     ``tables`` (each generator's list of images) with every point of seed
@@ -642,25 +658,31 @@ def orbits_on(items, gens, image=Permutation.__call__):
 # -- group files -----------------------------------------------------------
 
 
+def _read_counted_lines(text, kind, keyword, error):
+    """(n, body lines) of a ``<keyword> <n>`` file, lines stripped and
+    blank and # lines dropped; a bad header raises ``error``."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != keyword or not header[1].isdecimal():
+        raise error("%s file must start with a '%s <n>' line" % (kind, keyword))
+    try:
+        return int(header[1]), lines[1:]
+    except ValueError:  # more digits than int() converts
+        raise error("bad header line: %r" % lines[0]) from None
+
+
 def parse_group_text(text, degree=None):
     """Read the group file format: line 1 exactly ``degree <n>`` with n >= 1,
     then one generator per non-empty, non-# line in disjoint-cycle notation.
     If ``degree`` is given, a header with another n raises GroupError before
     any generator is built."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "degree" or not header[1].isdecimal():
-        raise GroupError("group file must start with a 'degree <n>' line")
-    try:
-        n = int(header[1])
-    except ValueError:  # more digits than int() converts
-        raise GroupError("bad header line: %r" % lines[0]) from None
+    n, lines = _read_counted_lines(text, "group", "degree", GroupError)
     if n < 1:
         raise GroupError("group degree must be positive")
     if degree is not None and n != degree:
         raise GroupError("group degree %d does not match %d" % (n, degree))
-    gens = [parse_cycles(ln, n) for ln in lines[1:]]
+    gens = [parse_cycles(ln, n) for ln in lines]
     return PermGroup(gens, degree=n)
 
 

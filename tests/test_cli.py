@@ -242,11 +242,12 @@ def test_verify_trivial_design(tmp_path, text, params, derived):
     assert tuple(checks["parameters (v,b,k,r,lambda)"]["observed"]) == params
     assert [f["check"] for f in payload["findings"] if f["ok"] is False] == \
         ["nontrivial (2<k<v)"]
-    rows = {"%s %s" % (name, formula): provenance
-            for name, formula, provenance in design._DESIGN_CONDITIONS}
-    assert [checks[row]["ok"] for row in rows if rows[row] == "trivial"] == [True] * 2
-    assert [(checks[row]["ok"], checks[row]["observed"])
-            for row in rows if rows[row] == "derived"] == [(None, ok) for ok in derived]
+    rows = design.condition_rows(design.DesignParameters(*params))
+    assert [row[2:] for row in rows] == \
+        [("trivial", True, True)] * 2 + [("derived", ok, False) for ok in derived]
+    found = [checks["%s %s" % (name, formula)] for name, formula, *_ in rows]
+    assert [(f["ok"], f["observed"], f["provenance"]) for f in found] == \
+        [(True, True, "trivial")] * 2 + [(None, ok, "derived") for ok in derived]
     _, text_out = run_cli(["verify", str(dpath)])
     assert [ln.split()[1] for ln in text_out.splitlines() if ln.startswith("FAIL")] == \
         ["nontrivial"]

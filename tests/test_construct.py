@@ -262,25 +262,49 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-def test_only_group_files_call_the_group_constructor():
-    """Every group whose order the package knows is built by
-    `PermGroup.of_order`, which checks the order, so only
-    `parse_group_text`, for a group file of unknown order, calls
-    `PermGroup(...)`."""
+def _package_nodes():
+    """(file name, name of the innermost enclosing function or "<module>",
+    node) for every AST node of the package."""
     package = pathlib.Path(ftdesigns.__file__).parent
-    callers = set()
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         functions = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree)
                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) == "PermGroup":
-                # the innermost enclosing function starts last
-                enclosing = max((f for f in functions if f[0] <= node.lineno <= f[1]),
-                                default=(0, 0, "<module>"))
-                callers.add("%s:%s" % (path.name, enclosing[2]))
+            line = getattr(node, "lineno", 0)
+            # the innermost enclosing function starts last
+            enclosing = max((f for f in functions if f[0] <= line <= f[1]),
+                            default=(0, 0, "<module>"))
+            yield path.name, enclosing[2], node
+
+
+def test_only_group_files_call_the_group_constructor():
+    """Every group whose order the package knows is built by
+    `PermGroup.of_order`, which checks the order, so only
+    `parse_group_text`, for a group file of unknown order, calls
+    `PermGroup(...)`."""
+    callers = {"%s:%s" % (name, function) for name, function, node in _package_nodes()
+               if isinstance(node, ast.Call) and getattr(
+                   node.func, "id", getattr(node.func, "attr", None)) == "PermGroup"}
     assert callers == {"perm.py:parse_group_text"}
+
+
+def test_one_file_header_check_and_no_private_design_names_in_cli():
+    """Design and group file headers are checked (`isdecimal`) only in the
+    one reader, `perm._read_counted_lines`, and `cli.py` reads no private
+    `design._*` name."""
+    checks, private = set(), []
+    for name, function, node in _package_nodes():
+        if isinstance(node, ast.Attribute) and node.attr == "isdecimal":
+            checks.add("%s:%s" % (name, function))
+        if name != "cli.py":
+            continue
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "design":
+            private += [node.attr] if node.attr.startswith("_") else []
+        if isinstance(node, ast.ImportFrom) and node.module == "design":
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    assert checks == {"perm.py:_read_counted_lines"}
+    assert private == []
 
 
 def test_construct_groups_keep_their_generators(monkeypatch):

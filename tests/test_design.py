@@ -213,7 +213,8 @@ def test_flag_transitivity():
 
 
 def reference_block_images(d):
-    """A frozenset oracle for `design._block_images`: returns a function
+    """A frozenset oracle for the design layer's block images
+    (`perm._mask_images` through `Design.block_index`): returns a function
     that takes a permutation p and gives the index of each block's image
     under p, in block order, or None when p's degree is not v or p carries
     some block onto a set that is not a block."""
@@ -473,9 +474,7 @@ def test_design_file_round_trip():
     text = format_design_text(d)
     assert text.splitlines()[0] == "v 36"
     assert parse_design_text(text) == d
-    with pytest.raises(DesignError):
-        parse_design_text("blocks\n1 2\n")
-    with pytest.raises(DesignError):
+    with pytest.raises(DesignError):  # header errors: test_file_header_grammar
         parse_design_text("v 4\n1 x\n")
 
 

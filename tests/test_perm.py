@@ -22,7 +22,7 @@ from ftdesigns.construct import (
     semilinear_group_15,
     twisted_diagonal_group,
 )
-from ftdesigns.design import format_design_text
+from ftdesigns.design import DesignError, format_design_text, parse_design_text
 from ftdesigns.perm import (
     BlockSystem,
     BlockSystemCapExceeded,
@@ -474,6 +474,80 @@ def test_block_systems_invariance_and_order():
     assert len(systems) == 4
 
 
+def reference_is_invariant_under(system, perms):
+    """`BlockSystem.is_invariant_under` as it was written on frozensets,
+    for permutations of the partition's degree: every image of a part is
+    a part."""
+    partset = {frozenset(part) for part in system.parts}
+    for g in perms:
+        for part in system.parts:
+            if g.image_of_set(part) not in partset:
+                return False
+    return True
+
+
+def _check_invariance(system, perms):
+    """`is_invariant_under` agrees with the reference on each of perms and
+    on all of them; returns how many leave the system invariant."""
+    found = 0
+    for g in perms:
+        want = reference_is_invariant_under(system, [g])
+        assert system.is_invariant_under([g]) == want, (system, g)
+        found += want
+    assert system.is_invariant_under(perms) == (found == len(perms))
+    return found
+
+
+def test_is_invariant_under_matches_the_frozenset_reference():
+    """Every block system of H1, H2, the d36 group and pg 3's group under
+    the group's generators, words in them and seeded random permutations;
+    and seeded random partitions under random permutations, transpositions
+    and permutations that carry parts onto parts."""
+    rng = random.Random(28)
+    groups = [block_regular_group_96("h1"), block_regular_group_96("h2"),
+              twisted_diagonal_group(), semilinear_group_15()]
+    for g in groups:
+        systems = g.block_systems()
+        assert systems
+        gens = list(g.generators)
+        words = [math.prod(rng.choices(gens, k=5), start=g.identity()) for _ in range(3)]
+        randoms = [Permutation(rng.sample(range(1, g.degree + 1), g.degree)) for _ in range(3)]
+        for system in systems:
+            assert _check_invariance(system, gens + words) == len(gens) + len(words)
+            _check_invariance(system, randoms)
+    kinds = [0, 0]  # how many checks said not invariant, invariant
+    for n in (4, 6, 12, 24, 36):
+        for c in (c for c in range(2, n) if n % c == 0):
+            points = rng.sample(range(1, n + 1), n)
+            parts = [points[i:i + c] for i in range(0, n, c)]
+            system = BlockSystem(n, parts)
+            perms = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(4)]
+            for _ in range(4):  # parts onto parts, each in a random order
+                images = [0] * n
+                for part, image in zip(parts, rng.sample(parts, len(parts))):
+                    for x, y in zip(part, rng.sample(image, c)):
+                        images[x - 1] = y
+                perms.append(Permutation(images))
+            for a, b in (points[:2], (points[0], points[c])):  # within a part, across
+                perms.append(parse_cycles("(%d,%d)" % (a, b), n))
+            found = _check_invariance(system, perms)
+            kinds[0] += len(perms) - found
+            kinds[1] += found
+    assert min(kinds) > 50, kinds
+
+
+def test_is_invariant_under_another_degree():
+    """A permutation of another degree leaves no partition invariant, as
+    `design.is_automorphism` says of a design."""
+    system = BlockSystem(4, [(1, 2), (3, 4)])
+    assert system.is_invariant_under([parse_cycles("(1,3)(2,4)", 4)])
+    assert system.is_invariant_under([])
+    for g in (parse_cycles("(1,2)", 6), parse_cycles("(1,2)", 3),
+              Permutation.identity(6), Permutation.identity(3)):
+        assert not system.is_invariant_under([g])
+        assert not system.is_invariant_under([Permutation.identity(4), g])
+
+
 def test_block_systems_requires_transitive():
     g = PermGroup([parse_cycles("(1,2)(3,4)", 4)])
     with pytest.raises(GroupError):
@@ -842,15 +916,59 @@ def test_group_file_round_trip():
 
 
 def test_group_file_errors():
-    with pytest.raises(GroupError):
-        parse_group_text("(1,2)\n")
-    with pytest.raises(GroupError):
-        parse_group_text("degree x\n")
+    """Header errors are in test_file_header_grammar."""
     with pytest.raises(CycleParseError):
         parse_group_text("degree 4\n(1,9)\n")
     with pytest.raises(GroupError, match="group degree 5 does not match 4"):
         parse_group_text("degree 5\n(1,9)\n", degree=4)
     assert parse_group_text("degree 4\n(1,2,3,4)\n", degree=4).order() == 4
+
+
+# Each file kind (the word its messages name): its parser, keyword, a body
+# line, the key its results compare by and its error class.
+_PARSERS = {
+    "design": (parse_design_text, "v", "1 2", lambda d: d, DesignError),
+    "group": (parse_group_text, "degree", "(1,2)", lambda g: (g.degree, g.generators),
+              GroupError),
+}
+_MISSING_HEADER = "{kind} file must start with a '{kw} <n>' line"
+_TOO_MANY_DIGITS = "{kw} " + "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+@pytest.mark.parametrize("text, message", [
+    pytest.param("\n\n{kw} 4\n\n{body}\n\n", None, id="blank-lines"),
+    pytest.param("# c\n{kw} 4\n  # c\n{body}\n#", None, id="comment-lines"),
+    pytest.param("\t{kw}\t4\t\n\t{body}\t\n \t\n", None, id="tabs"),
+    pytest.param("{kw} 4\r\n\r\n{body}\r\n", None, id="crlf"),
+    pytest.param("", _MISSING_HEADER, id="empty"),
+    pytest.param("# c\n\n", _MISSING_HEADER, id="only-comments"),
+    pytest.param("{body}\n", _MISSING_HEADER, id="missing-header"),
+    pytest.param("{other} 4\n{body}\n", _MISSING_HEADER, id="wrong-keyword"),
+    pytest.param("{kw}4\n{body}\n", _MISSING_HEADER, id="no-space"),
+    pytest.param("{kw} x\n", _MISSING_HEADER, id="count-word"),
+    pytest.param("{kw} -4\n", _MISSING_HEADER, id="count-negative"),
+    pytest.param("{kw} +4\n", _MISSING_HEADER, id="count-plus"),
+    pytest.param("{kw} 4.0\n", _MISSING_HEADER, id="count-float"),
+    pytest.param("{kw} 1_0\n", _MISSING_HEADER, id="count-underscore"),
+    pytest.param("{kw} 4 # four\n{body}\n", _MISSING_HEADER, id="header-comment"),
+    pytest.param(_TOO_MANY_DIGITS + "\n", "bad header line: %r" % _TOO_MANY_DIGITS,
+                 id="count-too-many-digits"),
+])
+def test_file_header_grammar(kind, text, message):
+    """Design and group files share one grammar: stripped lines, blank and
+    # lines dropped, then a '<keyword> <decimal n>' header; each parser
+    raises its own error class with the same messages."""
+    parse, kw, body, key, error = _PARSERS[kind]
+    other = _PARSERS["group" if kind == "design" else "design"][1]
+    text = text.format(kw=kw, body=body, other=other)
+    if message is None:
+        assert key(parse(text)) == key(parse("%s 4\n%s\n" % (kw, body)))
+        return
+    with pytest.raises(error) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(kind=kind, kw=kw)
 
 
 def test_perm_and_design_checks_survive_python_O(tmp_path):
