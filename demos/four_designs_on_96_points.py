@@ -28,7 +28,7 @@ for group_id in ("h1", "h2"):
     for block_id in (1, 2):
         group, design = design_96(group_id, block_id)
         params = check_2_design(design)
-        orbit, stab = group.orbit_of_set(design.blocks[0])
+        orbit = group.orbit_of_set(design.blocks[0])
         good = [s for s in group.block_systems()
                 if s.part_size == 16 and intersection_profile(design, s).constant]
         t0 = time.perf_counter()
@@ -36,5 +36,5 @@ for group_id in ("h1", "h2"):
         print("%s block %d: %s | block orbit %d (regular: stabilizer %d) | "
               "constant (16,6) partitions: %d (ell=4) | Aut order %d (%.1fs)"
               % (group_id, block_id, params.as_tuple(), len(orbit),
-                 stab.order(), len(good), aut.order,
+                 group.order() // len(orbit), len(good), aut.order,
                  time.perf_counter() - t0))

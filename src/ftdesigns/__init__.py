@@ -2,8 +2,8 @@
 
 Modules:
 
-- ``perm``: exact permutation groups (Schreier-Sims, orbits, setwise
-  stabilizers, invariant partitions).
+- ``perm``: exact permutation groups (Schreier-Sims, orbits of points
+  and point sets, invariant partitions).
 - ``design``: incidence structures and 2-design verification.
 - ``feasibility``: integer enumeration of numerically feasible parameter
   tuples and the polynomial bounds on block size and point count.

@@ -169,7 +169,7 @@ class _Search:
 
     # -- refinement -------------------------------------------------------
 
-    def _refine(self, cells, splitters=None):
+    def _refine(self, cells, splitters):
         """Split cells by neighbor counts until equitable; returns the new
         cells plus a label-invariant trace of the split events.
 
@@ -182,7 +182,7 @@ class _Search:
         testing every cell.
 
         ``splitters`` gives the indices of the first round's splitters, in
-        order; None runs every cell.  ``_recurse`` passes only the
+        order: ``run`` passes every cell, and ``_recurse`` only the
         individualized singleton: the parent's cells were equitable, so the
         rest of the target cell splits nothing once the singleton has run.
         A later round runs the parts of each cell split in the round before,
@@ -194,8 +194,6 @@ class _Search:
         adj, v = self.adj, self.v
         trace = []
         targets = None
-        if splitters is None:
-            splitters = range(len(cells))
         while splitters:
             start = cells
             origin = list(range(len(cells)))  # round-start cell of each cell
@@ -311,7 +309,7 @@ class _Search:
 
     def run(self):
         cells = self._initial_cells()
-        cells, token = self._refine(cells)
+        cells, token = self._refine(cells, range(len(cells)))
         self._recurse(cells, (token,), ())
         return self
 

@@ -92,12 +92,12 @@ CONSTRUCTION_36_BASE_BLOCK = frozenset(
 
 
 def orbit_design(group: PermGroup, base_block) -> Design:
-    """The design whose blocks are the orbit of base_block under group."""
+    """The design whose blocks are the orbit of base_block under group
+    (``PermGroup.orbit_of_set``, which rejects points outside 1..v)."""
     base_block = frozenset(base_block)
-    if not base_block or not base_block <= frozenset(range(1, group.degree + 1)):
-        raise ValueError("base block must be a nonempty subset of 1..%d" % group.degree)
-    return Design(group.degree, closure([base_block], group.generators,
-                                        Permutation.image_of_set))
+    if not base_block:
+        raise ValueError("base block must be nonempty")
+    return Design(group.degree, group.orbit_of_set(base_block))
 
 
 @lru_cache(maxsize=None)

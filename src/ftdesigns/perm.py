@@ -8,16 +8,16 @@ the levels it joins, and ``_complete`` then sifts the Schreier generators
 from the deepest level up.  ``PermGroup.of_order`` places residues of
 random products until the orbit lengths multiply to a known order, and
 completes only if they do not; every group of known order is built that
-way, the setwise stabilizers of ``orbit_of_set`` too, to |G| / |orbit| from
-the Schreier generators of the set action, so the constructor is left for
-groups read from files.  New base points are the smallest points
-moved by each new residue.  The chain holds padded image tables
-``(0,) + images``, so points stay 1-based and the product u*g (g after u)
-is ``tuple([g[x] for x in u])``; ``sift``, ``contains``,
-``strong_generators`` and ``basic_orbits`` convert at the boundary, so they
-take and give Permutations.  This gives exact orders, membership tests,
-orbits, setwise stabilizers and invariant partitions at the degrees used in
+way, so the constructor is left for groups read from files.  New base
+points are the smallest points moved by each new residue.  The chain holds
+padded image tables ``(0,) + images``, so points stay 1-based and the
+product u*g (g after u) is ``tuple([g[x] for x in u])``; ``sift``,
+``contains``, ``strong_generators`` and ``basic_orbits`` convert at the
+boundary, so they take and give Permutations.  This gives exact orders,
+membership tests, orbits and invariant partitions at the degrees used in
 this package.  All orders are plain Python integers, so nothing overflows.
+No setwise stabilizer is built: by orbit-stabilizer its order is
+|G| / |orbit|.
 
 Block systems come from one union-find, ``_min_partition``, run on the
 action on the parts of each invariant partition that ``block_systems``
@@ -25,9 +25,9 @@ pops; systems are keyed by their block through 1.
 
 Orbits of points, point sets, bitmasks, flags and search vertices come
 from one routine, ``closure`` (Holt, Eick & O'Brien 2005, 4.1) with the
-action passed in, and ``orbits_on`` built on it; only ``orbit_of_set``
-keeps its own loop, because it builds a transversal of point sets as it
-goes, and only ``_place_gen`` grows basic orbits.
+action passed in, and ``orbits_on`` built on it, with no exception:
+``orbit_of_set`` is the closure of one point set.  Only ``_place_gen``
+grows the basic orbits of the stabilizer chain.
 
 One image test on point masks, ``_mask_images``, answers every
 automorphism and invariance test; one reader, ``_read_counted_lines``,
@@ -398,9 +398,7 @@ class PermGroup:
         sifts in a row ``_complete`` finishes the chain as the constructor
         does.  An orbit product past ``order``, another order after
         ``_complete``, or a candidate outside the chain raises
-        AssertionError.  ``orbit_of_set`` builds a setwise stabilizer here
-        to |G| / |orbit|, so its generators are the Schreier generators
-        kept."""
+        AssertionError."""
         group, candidates = cls((), degree=degree), tuple(candidates)
         group.generators = tuple(g for g in candidates if group._grow((0,) + g.images))
         kept = [(0,) + g.images for g in group.generators]
@@ -458,9 +456,6 @@ class PermGroup:
     def __contains__(self, p):
         return self.contains(p)
 
-    def identity(self):
-        return Permutation.identity(self.degree)
-
     def orbit(self, point):
         """The orbit of a point, as a sorted tuple."""
         if not 1 <= point <= self.degree:
@@ -474,35 +469,19 @@ class PermGroup:
         return len(self.orbit(1)) == self.degree
 
     def orbit_of_set(self, points):
-        """Orbit of a point set under the induced action on sets, plus the
-        setwise stabilizer, built by ``of_order`` to |G| / |orbit| from the
-        Schreier generators of the set action; its ``generators`` are the
-        Schreier generators ``of_order`` keeps.
-
-        Returns (orbit, stabilizer) where orbit is a list of frozensets in
-        BFS discovery order.  Raises AssertionError if the orbit length does
-        not divide |G| or the Schreier generators give another order.
-        """
+        """The orbit of a point set under the induced action on sets: a list
+        of frozensets in breadth-first discovery order, the ``closure`` of
+        the set.  Raises ValueError for a point outside 1..degree, and
+        AssertionError if the orbit length does not divide |G|."""
         start = frozenset(points)
         for p in start:
             if not 1 <= p <= self.degree:
                 raise ValueError("point %d out of range 1..%d" % (p, self.degree))
-        transversal = {start: self.identity()}
-        orbit_list, schreier = [start], []
-        for t in orbit_list:  # grows while the loop runs
-            ut = transversal[t]
-            for g in self.generators:
-                img = g.image_of_set(t)
-                if img not in transversal:
-                    transversal[img] = ut * g
-                    orbit_list.append(img)
-                else:
-                    schreier.append(ut * g * transversal[img].inverse())
-        order = self.order()
-        if order % len(orbit_list):
+        orbit = closure([start], self.generators, Permutation.image_of_set)
+        if self.order() % len(orbit):
             raise AssertionError("orbit length %d does not divide the group order %d"
-                                 % (len(orbit_list), order))
-        return orbit_list, PermGroup.of_order(schreier, order // len(orbit_list), self.degree)
+                                 % (len(orbit), self.order()))
+        return orbit
 
     # -- invariant partitions ---------------------------------------------
 

@@ -410,8 +410,9 @@ def _counting(fn, calls):
 class _ReferenceSearch(_EagerSearch):
     """The search before backjumping, with `_recurse` and `_handle_leaf`
     kept verbatim (only `_leaf` now also takes the prefix, the store of
-    automorphisms is read as a dict, and the cap error carries the
-    automorphisms found) as the oracle: backjumping and
+    automorphisms is read as a dict, the cap error carries the
+    automorphisms found, and `_refine` is told to run every cell) as the
+    oracle: backjumping and
     pruning by `perm.closure` must not change the best leaf or the group
     generated."""
 
@@ -455,7 +456,7 @@ class _ReferenceSearch(_EagerSearch):
                 if gens and _reference_skip_by_orbit(w, explored, gens):
                     continue
             child = self._individualize(cells, ti, w)
-            child, token = self._refine(child)
+            child, token = self._refine(child, range(len(child)))
             self._recurse(child, tokens + (token,), prefix + (w,))
             explored.append(w)
 

@@ -35,6 +35,7 @@ from ftdesigns.design import (
     is_flag_transitive,
 )
 from ftdesigns.perm import PermGroup, Permutation, parse_cycles
+from test_perm import _closure
 
 
 def test_grid_encoding():
@@ -66,8 +67,8 @@ def test_construction_36():
     g = twisted_diagonal_group()
     ok, _ = is_flag_transitive(g, d)
     assert ok and g.order() == 90 * 8  # flag-regular
-    orbit, stab = g.orbit_of_set(CONSTRUCTION_36_BASE_BLOCK)
-    assert len(orbit) == 90 and stab.order() == 8
+    orbit = g.orbit_of_set(CONSTRUCTION_36_BASE_BLOCK)
+    assert len(orbit) == 90 and g.order() // len(orbit) == 8  # block stabilizer order
 
 
 def test_construction_36_cosets():
@@ -289,6 +290,18 @@ def test_only_group_files_call_the_group_constructor():
     assert callers == {"perm.py:parse_group_text"}
 
 
+def test_of_order_builds_only_groups_of_known_order():
+    """`PermGroup.of_order` builds Aut, to the order the search proves, and
+    the construct groups, to the orders the paper gives; no setwise
+    stabilizer or other subgroup is built, as orbit-stabilizer gives its
+    order as |G| / |orbit|."""
+    callers = {"%s:%s" % (name, function) for name, function, node in _package_nodes()
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "of_order"}
+    assert callers == {"autgrp.py:automorphism_group", "construct.py:twisted_diagonal_group",
+                       "construct.py:group", "construct.py:triple_data",
+                       "construct.py:semilinear_group_15"}
+
+
 def test_one_file_header_check_and_no_private_design_names_in_cli():
     """Design and group file headers are checked (`isdecimal`) only in the
     one reader, `perm._read_counted_lines`, and `cli.py` reads no private
@@ -387,8 +400,8 @@ def test_design_96s():
         for bid in (1, 2):
             group, d = design_96(gid, bid)
             assert check_2_design(d).as_tuple() == (96, 96, 20, 20, 4)
-            orbit, stab = group.orbit_of_set(BASE_BLOCKS_96[(gid, bid)])
-            assert len(orbit) == 96 and stab.order() == 1  # block-regular
+            orbit = group.orbit_of_set(BASE_BLOCKS_96[(gid, bid)])
+            assert len(orbit) == group.order() == 96  # block-regular
             for gen in group.generators:
                 assert is_automorphism(d, gen)
     with pytest.raises(ValueError):
@@ -425,17 +438,20 @@ def test_orbit_design():
 
 
 def test_orbit_design_matches_set_orbit():
-    """The blocks of ``orbit_design`` are the orbit that ``orbit_of_set``
-    finds, for every built-in orbit design."""
+    """The blocks of ``orbit_design`` are the images of the base block under
+    every element of the group, listed by brute force (96 for H1 and H2,
+    720 for the two actions of Sym(6)), for every built-in orbit design."""
     model = FrobeniusModel()
     cases = [(twisted_diagonal_group(), CONSTRUCTION_36_BASE_BLOCK),
              (coset_model_group(), model.triple_data(*model.triples()[0])[2][0])]
     cases += [(block_regular_group_96(gid), BASE_BLOCKS_96[(gid, bid)])
               for gid in ("h1", "h2") for bid in (1, 2)]
     for group, block in cases:
-        orbit, _ = group.orbit_of_set(block)
+        elements = _closure(group.generators)
+        assert len(elements) == group.order() == (720 if group.degree == 36 else 96)
         d = orbit_design(group, block)
-        assert {frozenset(blk) for blk in d.blocks} == set(orbit) and d.b == len(orbit)
+        images = {h.image_of_set(block) for h in elements}
+        assert {frozenset(blk) for blk in d.blocks} == images and d.b == len(images)
     assert orbit_design(*cases[1]) == construction_36_cosets()
 
 

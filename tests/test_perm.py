@@ -348,20 +348,26 @@ def test_orbits():
 
 
 def test_set_orbit_and_stabilizer():
+    """The orbit of a point set is its breadth-first closure, and the
+    stabilizer order is |G| / |orbit| (orbit-stabilizer)."""
     c4 = PermGroup([parse_cycles("(1,2,3,4)", 4)])
-    orbit, stab = c4.orbit_of_set({1, 3})
-    assert sorted(tuple(sorted(s)) for s in orbit) == [(1, 3), (2, 4)]
-    assert stab.order() == 2
+    orbit = c4.orbit_of_set({1, 3})
+    assert orbit == [frozenset({1, 3}), frozenset({2, 4})]
+    assert c4.order() // len(orbit) == 2
     # full point set: orbit is a singleton, stabilizer the whole group
-    orbit, stab = c4.orbit_of_set({1, 2, 3, 4})
-    assert len(orbit) == 1 and stab.order() == c4.order()
-    # orbit-stabilizer identity on random sets
+    assert c4.orbit_of_set({1, 2, 3, 4}) == [frozenset({1, 2, 3, 4})]
     g = S6()
     rng = random.Random(5)
     for _ in range(10):
         s = set(rng.sample(range(1, 7), rng.randint(1, 5)))
-        orbit, stab = g.orbit_of_set(s)
-        assert len(orbit) * stab.order() == g.order()
+        orbit = g.orbit_of_set(s)
+        assert orbit == closure([frozenset(s)], g.generators, Permutation.image_of_set)
+        assert len(orbit) == math.comb(6, len(s))  # S6 is transitive on k-sets
+    for bad in ({0, 1}, {6, 7}):
+        with pytest.raises(ValueError, match="out of range"):
+            g.orbit_of_set(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            PermGroup([], degree=6).orbit_of_set(bad)
 
 
 def _closure(generators):
@@ -378,7 +384,9 @@ def _closure(generators):
     return elements
 
 
-def test_set_stabilizer_matches_brute_force():
+def test_set_orbit_matches_brute_force():
+    """The orbit of a point set is its image under each of the 720 listed
+    elements, and |G| / |orbit| elements fix the set."""
     from ftdesigns.construct import CONSTRUCTION_36_BASE_BLOCK, twisted_diagonal_group
 
     rng = random.Random(17)
@@ -390,13 +398,13 @@ def test_set_stabilizer_matches_brute_force():
         if g.degree == 36:
             sets.append(CONSTRUCTION_36_BASE_BLOCK)  # stabilizer of order 720 / 90 = 8
         for s in sets:
-            _, stab = g.orbit_of_set(s)
+            orbit = g.orbit_of_set(s)
+            assert len(set(orbit)) == len(orbit)
+            assert set(orbit) == {h.image_of_set(s) for h in elements}
             fixing = [h for h in elements if h.image_of_set(s) == s]
-            assert stab.order() == len(fixing)
-            assert all(stab.contains(h) for h in fixing)
-            assert all(h.image_of_set(s) == s for h in stab.generators)
+            assert len(fixing) == g.order() // len(orbit)
             if s == CONSTRUCTION_36_BASE_BLOCK:
-                assert stab.order() == 8
+                assert len(orbit) == 90 and len(fixing) == 8
 
 
 def _random_subgroup(rng, n):
@@ -510,7 +518,8 @@ def test_is_invariant_under_matches_the_frozenset_reference():
         systems = g.block_systems()
         assert systems
         gens = list(g.generators)
-        words = [math.prod(rng.choices(gens, k=5), start=g.identity()) for _ in range(3)]
+        words = [math.prod(rng.choices(gens, k=5), start=Permutation.identity(g.degree))
+                 for _ in range(3)]
         randoms = [Permutation(rng.sample(range(1, g.degree + 1), g.degree)) for _ in range(3)]
         for system in systems:
             assert _check_invariance(system, gens + words) == len(gens) + len(words)
@@ -972,9 +981,8 @@ def test_file_header_grammar(kind, text, message):
 
 
 def test_perm_and_design_checks_survive_python_O(tmp_path):
-    """Both orbit-stabilizer checks of `orbit_of_set` (an orbit length that
-    does not divide the order, and a stabilizer that `of_order` cannot
-    build to the quotient), the two block-system checks, the Schreier-Sims
+    """The orbit-stabilizer check of `orbit_of_set` (an orbit length that
+    does not divide the order), the two block-system checks, the Schreier-Sims
     placement check of `_complete` and the check that a flag orbit stays
     within the flags raise under `python -O`.  For the placement check, a patched sift hands
     `_complete` a residue that moves base point 1.  For the flag orbit,
@@ -1011,8 +1019,6 @@ def joined_by(classes):  # block_systems of cyclic4, each join on 4 points givin
 min_partition = perm._min_partition
 wrong_order = cyclic4()
 wrong_order.order = lambda: 7  # the orbit length 4 does not divide it
-twice_the_order = cyclic4()
-twice_the_order.order = lambda: 8  # so `of_order` builds a trivial stabilizer to order 2
 unequal = joined_by([[0, 1, 2], [3]])
 not_invariant = joined_by([[0, 1], [2, 3]])
 misplaced = cyclic4()
@@ -1027,7 +1033,6 @@ all_flags = design.flags
 design.flags = lambda d: all_flags(d)[:1]
 square = Design(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 print(raises(wrong_order.orbit_of_set, [1]),
-      raises(twice_the_order.orbit_of_set, [1]),
       raises(unequal),
       raises(not_invariant),
       raises(place_and_complete),
@@ -1039,7 +1044,7 @@ print(raises(wrong_order.orbit_of_set, [1]),
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 6
+    assert proc.stdout.split() == ["True"] * 5
     path = tmp_path / "pg3-1.dsg"
     path.write_text(format_design_text(_relabeled(projective_design(3), 1)))
     proc = subprocess.run([sys.executable, "-O", "-m", "ftdesigns", "--format", "json",
