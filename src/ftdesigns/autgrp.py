@@ -62,7 +62,8 @@ from typing import Optional
 
 from .construct import twisted_diagonal_group
 from .design import (MAX_POINTS, Design, DesignError, NotTwoDesignError, PointCapExceeded,
-                     _point_rows, check_2_design, check_point_cap, is_automorphism)
+                     _mask_block, _point_rows, check_2_design, check_point_cap,
+                     is_automorphism)
 from .perm import PermGroup, Permutation, closure, orbits_on
 
 DEFAULT_NODE_CAP = 10**7
@@ -502,11 +503,11 @@ def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
     orbits = _mask_orbits(masks, group.generators)
     size_counts = Counter(len(orbit) for orbit in orbits)
     designs = []
+    points = tuple(range(1, 37))
     for orbit in orbits:
         if len(orbit) != 90:
             continue
-        blocks = [tuple(p + 1 for p in range(36) if mask >> p & 1) for mask in orbit]
-        d = Design(36, blocks)
+        d = Design(36, [_mask_block(mask, points) for mask in orbit])
         try:
             params = check_2_design(d)
         except NotTwoDesignError:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations, permutations
 
-from .design import Design, NotTwoDesignError, check_2_design
+from .design import Design, NotTwoDesignError, _mask_block, check_2_design
 from .perm import PermGroup, Permutation, closure, orbits_on, parse_cycles, parse_group_text
 
 # sha256 of the shipped generator files, pinned against silent edits
@@ -264,10 +264,15 @@ def projective_design(n: int) -> Design:
     if not 3 <= n <= 9:
         raise ValueError("n out of supported range 3..9")
     v = 2 ** (n + 1) - 1
-    blocks = []
+    # parity[w]: the point mask of w's block; parity(u & w) is linear in w
+    parity = [0] * (v + 1)
+    for i in range(n + 1):
+        parity[1 << i] = sum(1 << (u - 1) for u in range(1, v + 1) if u >> i & 1)
     for w in range(1, v + 1):
-        blocks.append(tuple(u for u in range(1, v + 1) if (u & w).bit_count() & 1))
-    return Design(v, blocks)
+        low = w & -w
+        parity[w] = parity[w ^ low] ^ parity[low]
+    points = tuple(range(1, v + 1))
+    return Design(v, [_mask_block(parity[w], points) for w in range(1, v + 1)])
 
 
 # GF(4) with elements 0, 1, w, w^2 encoded 0..3 (w^2 = w + 1); addition is xor
@@ -447,9 +452,11 @@ def construct_by_name(tokens):
             raise ValueError("d36-cosets takes no arguments")
         return construction_36_cosets()
     if name == "pg":
-        if len(args) != 1:
-            raise ValueError("usage: pg N (odd N, 3..9)")
-        return projective_design(int(args[0]))
+        try:
+            (n,) = map(int, args)
+        except ValueError:
+            raise ValueError("usage: pg N (odd N, 3..9)") from None
+        return projective_design(n)
     if name == "d96":
         if len(args) != 2 or args[0] not in ("h1", "h2") or args[1] not in ("1", "2"):
             raise ValueError("usage: d96 (h1|h2) (1|2)")

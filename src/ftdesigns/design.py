@@ -9,14 +9,18 @@ and the constancy of block/part intersections against an invariant
 partition.  ``condition_rows`` says which counting conditions bind (the
 one place the 2 < k < v rule is written); blocks are point masks
 (``Design.block_index``), and every automorphism test maps them through
-``perm._mask_images``, the image test that partitions use too.  Design
-files are read with ``perm._read_counted_lines``, the reader of group
-files.
+``perm._mask_images``, the image test that partitions use too; one
+routine, ``_mask_block``, turns a point mask back into a sorted block.
+``Design`` keeps a block given as a sorted plain tuple as it is and sorts
+every other block into a new tuple.  Design files are read with
+``perm._read_counted_lines``, the reader of group files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import lt
 from typing import Optional
 
 from .feasibility import CONDITIONS, FeasibleTuple, condition_failures
@@ -76,9 +80,11 @@ class Design:
             raise DesignError("need at least one point")
         norm = []
         for blk in blocks:
-            blk = tuple(sorted(blk))
-            if len(set(blk)) != len(blk):
-                raise DesignError("block %r has a repeated point" % (blk,))
+            # a strictly ascending plain tuple is kept; it has no repeated point
+            if type(blk) is not tuple or not all(map(lt, blk, blk[1:])):
+                blk = tuple(sorted(blk))
+                if len(set(blk)) != len(blk):
+                    raise DesignError("block %r has a repeated point" % (blk,))
             if blk and not (1 <= blk[0] and blk[-1] <= v):
                 raise DesignError("block %r out of range 1..%d" % (blk, v))
             if not blk:
@@ -112,6 +118,21 @@ class Design:
 
     def __repr__(self):
         return "Design(v=%d, b=%d)" % (self.v, self.b)
+
+
+# The digits "0" and "1" as the bytes 0 and 1, which itertools.compress reads
+# as false and true.
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask_block(mask, points):
+    """The sorted block of a point mask (bit p - 1 for point p), whose point
+    p is points[p - 1]: the mask's binary digits, lowest first, select the
+    points with C-level loops, and a tuple of points shared by every block
+    holds one int per point.  The block is built from a list (see
+    ``parse_design_text``)."""
+    digits = format(mask, "b").encode()[::-1].translate(_BINARY_DIGITS)
+    return tuple([*compress(points, digits)])
 
 
 @dataclass(frozen=True)
@@ -373,8 +394,18 @@ def parse_design_text(text: str) -> Design:
     return Design(v, blocks)
 
 
+class _PointNames(dict):
+    """point -> its spelling, made on the first lookup, so that the table
+    holds only the points that occur."""
+
+    def __missing__(self, p):
+        name = self[p] = str(p)
+        return name
+
+
 def format_design_text(d: Design) -> str:
     """Canonical design file: sorted blocks, ascending points."""
+    names = _PointNames()
     lines = ["v %d" % d.v]
-    lines.extend(" ".join(str(p) for p in blk) for blk in d.blocks)
+    lines.extend(" ".join(map(names.__getitem__, blk)) for blk in d.blocks)
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -128,6 +129,28 @@ def test_construct_and_verify_round_trip(tmp_path):
         code, report = run_cli(["verify", str(path)])
         assert code == 0, report
         assert "status: pass" in report
+
+
+# sha256 of ``ftdesigns construct pg N`` standard output
+CONSTRUCT_PG_SHA256 = {
+    3: "c8ee667d15fd0ba7264aa0269218ff5c694d55e9ab81906a6a8957c05e0e66e5",
+    5: "f367f487152991d367cb298d29d342ab5ce5051aa1d502df36a305c25fd0bd35",
+    7: "42a43a4041d0e91a7c06c9714e31a3f7796a5897cea3b07f1fbd06e44e21b092",
+    9: "be2d4d8970d6f3d90d8bb3bf1efba6bf4d4bb196ebcb30ea0ea2499d46166922",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CONSTRUCT_PG_SHA256))
+def test_construct_pg_output_is_pinned(n):
+    code, text = run_cli(["construct", "pg", str(n)])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_PG_SHA256[n]
+
+
+@pytest.mark.parametrize("args", [["x"], [], ["3", "5"], ["3.0"], ["3", "x"]])
+def test_construct_pg_usage(args, capsys):
+    assert run_cli(["construct", "pg"] + args) == (cli.EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err == "error: usage: pg N (odd N, 3..9)\n"
 
 
 def test_construct_unknown_name():
@@ -446,6 +469,18 @@ def test_huge_design_hits_the_point_cap(tmp_path, command, design_text, group_te
     assert proc.stdout == ""
     assert "cap MAX_POINTS = %d" % design.MAX_POINTS in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_format_design_text_names_only_the_points_that_occur():
+    """Formatting a design of v = 10^10 points with one block stays cheap:
+    the table of point names holds the points that occur, not v of them,
+    so 400 MB of address space is plenty."""
+    code = ("import sys; from ftdesigns.design import Design, format_design_text; "
+            "sys.stdout.write(format_design_text(Design(10**10, [(1, 10**10)])))")
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "v 10000000000\n1 10000000000\n"
 
 
 def test_aut_refuses_more_blocks_than_the_cap(tmp_path, capsys, monkeypatch):

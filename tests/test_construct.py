@@ -357,6 +357,20 @@ def test_projective_design():
         projective_design(11)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_projective_design_matches_definition(n):
+    """Block for block, the block of the functional w is {u : parity(u & w)
+    = 1}, and all blocks share one int per point."""
+    v = 2 ** (n + 1) - 1
+    reference = [tuple(u for u in range(1, v + 1) if (u & w).bit_count() & 1)
+                 for w in range(1, v + 1)]
+    d = projective_design(n)
+    assert d.v == v
+    assert d.blocks == tuple(sorted(reference))
+    assert all(type(blk) is tuple for blk in d.blocks)
+    assert len({id(p) for blk in d.blocks for p in blk}) == v
+
+
 def test_projective_pair_coverage_brute():
     d = projective_design(3)
     for a in range(1, 16):

@@ -78,6 +78,47 @@ def test_design_normalization_and_errors():
         Design(4, [()])
 
 
+class _TupleSubclass(tuple):
+    pass
+
+
+def test_design_keeps_sorted_tuples():
+    """A strictly ascending plain tuple is kept as the block itself; every
+    other block is sorted into a new plain tuple."""
+    kept = (1, 3, 4)
+    d = Design(5, [(2, 5), kept])
+    assert d.blocks == ((1, 3, 4), (2, 5)) and d.blocks[0] is kept
+    given = [(4, 2, 1), _TupleSubclass((1, 2, 5)), [3, 4], frozenset({1, 5}),
+             (p for p in (3, 2))]
+    d = Design(5, given)
+    assert d.blocks == ((1, 2, 4), (1, 2, 5), (1, 5), (2, 3), (3, 4))
+    assert all(type(blk) is tuple for blk in d.blocks)
+    assert not any(blk is given[0] or blk is given[1] for blk in d.blocks)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    # the checks run block by block: repeated point, range, emptiness; then
+    # the repeated-block check on the sorted list
+    ([(1, 1, 9)], "block (1, 1, 9) has a repeated point"),
+    ([(3, 1, 3)], "block (1, 3, 3) has a repeated point"),
+    ([[2, 2]], "block (2, 2) has a repeated point"),
+    ([(1, 9)], "block (1, 9) out of range 1..4"),
+    ([(9, 1)], "block (1, 9) out of range 1..4"),
+    ([(0, 2)], "block (0, 2) out of range 1..4"),
+    ([(1, 2), (5, 6, 6)], "block (5, 6, 6) has a repeated point"),
+    ([()], "empty block"),
+    ([[]], "empty block"),
+    ([(1, 2), (), (1, 5)], "empty block"),
+    ([(1, 2), (2, 1)], "repeated block (1, 2) (designs here are simple)"),
+    ([(2, 3), [3, 2], (1, 2), (2, 1)], "repeated block (1, 2) (designs here are simple)"),
+    ([(1, 2), (1, 2), (5,)], "block (5,) out of range 1..4"),
+])
+def test_design_errors_and_their_order(blocks, message):
+    with pytest.raises(DesignError) as err:
+        Design(4, blocks)
+    assert str(err.value) == message
+
+
 def test_check_2_design_golden():
     complete = Design(4, combinations(range(1, 5), 2))
     params = check_2_design(complete)
@@ -577,11 +618,20 @@ def _peak_mib(fn, *args):
 
 
 def test_parse_and_check_pg9_memory():
-    """Reading and checking pg 9 peaks near 10 MiB (52.8 MiB when every
-    token had its own int and the block set was built eagerly)."""
+    """Reading and checking pg 9 peaks at 6.2 MiB: one copy of the blocks,
+    sharing one int per point (10.3 MiB when ``Design`` copied every block,
+    52.8 MiB when every token had its own int and the block set was built
+    eagerly)."""
     text = format_design_text(projective_design(9))
     peak = _peak_mib(lambda: check_2_design(parse_design_text(text)))
-    assert peak < 20
+    assert peak < 6.5
+
+
+def test_projective_design_memory():
+    """Building pg 9 peaks at 4.3 MiB: its 523,776 incidences share one int
+    per point (20.1 MiB with an int per incidence and a copy of every
+    block)."""
+    assert _peak_mib(projective_design, 9) < 5
 
 
 def test_point_rows_buffer_is_chunked():
