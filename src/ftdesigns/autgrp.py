@@ -7,10 +7,11 @@ point/block incidence structure, in the style of canonical graph labeling:
   incidence (the point rows of ``design._point_rows``, shifted past the
   points, and the block masks of ``Design.block_index``), and the two
   color classes never mix;
-- the initial coloring splits points by (degree, multiset of co-block
-  counts with the other points) and blocks by (size, multiset of pairwise
-  intersection sizes) -- this invariant set is fixed; changing it would
-  change certificates;
+- the initial coloring splits points by degree and blocks by size, each
+  class in degree order (any label-invariant coloring will do; McKay &
+  Piperno 2014); counts of common neighbours of vertex pairs would split
+  no cell of a 2-design that is symmetric or block-transitive, as every
+  design in scope is;
 - refinement splits cells by neighbor counts into the other cells until the
   coloring is equitable; its sequence of split events is the trace token,
   which picks the canonical leaf and so is part of the certificate (a
@@ -28,7 +29,10 @@ point/block incidence structure, in the style of canonical graph labeling:
   per node, and keeps two reference leaves: the first leaf (for
   automorphism discovery) and the best (trace, certificate) leaf, whose
   point order defines the canonical form: the design relabeled by it
-  (``Design.relabel``), serialized as the certificate;
+  (``Design.relabel``), serialized as the certificate, which starts with
+  its version, ``cert=CERTIFICATE_VERSION;``: a change to the search that
+  can move a certificate bumps the version (version 1, with no field, had
+  the pair-count initial coloring);
 - a leaf's certificate is built only when it is compared or returned.
   Points fill the first v positions of every leaf's order, so two leaves'
   certificates are equal exactly when the point map between their orders
@@ -67,6 +71,7 @@ from .design import (MAX_POINTS, Design, DesignError, NotTwoDesignError, PointCa
 from .perm import PermGroup, Permutation, closure, orbits_on
 
 DEFAULT_NODE_CAP = 10**7
+CERTIFICATE_VERSION = 2
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -125,10 +130,11 @@ def _labeling(design, order):
     """The canonical form of a leaf's vertex order: the point at position
     i of ``order`` (points fill positions 0..v-1) is relabeled i + 1, the
     block list is the relabeled design's, and the certificate is its ASCII
-    serialization."""
+    serialization after the version field."""
     relabeling = Permutation(u + 1 for u in order[: design.v]).inverse()
     blocks = design.relabel(relabeling).blocks
-    cert = ("v=%d;b=%d;" % (design.v, design.b)).encode("ascii") + ";".join(
+    head = "cert=%d;v=%d;b=%d;" % (CERTIFICATE_VERSION, design.v, design.b)
+    cert = head.encode("ascii") + ";".join(
         ",".join(str(p) for p in blk) for blk in blocks
     ).encode("ascii")
     return CanonicalForm(relabeling=relabeling, blocks=blocks, certificate=cert)
@@ -146,25 +152,19 @@ class _Search:
         self.best: Optional[_Leaf] = None
         self.autos = {}  # vertex image tuple -> point Permutation, in order found
 
-    # -- initial invariant-based coloring --------------------------------
+    # -- initial coloring by degree -----------------------------------------
 
     def _initial_cells(self):
-        """Points, then blocks, split by (degree, sorted counts of common
-        neighbors with each other vertex of the same class), in key order.
-        Each unordered pair's count is taken once and added to both lists."""
+        """Points, then blocks, each split by degree, in degree order and
+        each cell in vertex order.  Any label-invariant first coloring will
+        do (McKay & Piperno 2014); refinement then splits what degree
+        leaves together."""
         adj = self.adj
         cells = []
         for verts in (range(self.v), range(self.v, self.v + self.b)):
-            common = {u: [] for u in verts}
-            for i, u in enumerate(verts):
-                au, cu = adj[u], common[u]
-                for w in verts[i + 1 :]:
-                    c = (au & adj[w]).bit_count()
-                    cu.append(c)
-                    common[w].append(c)
             groups = {}
             for u in verts:
-                groups.setdefault((adj[u].bit_count(), tuple(sorted(common[u]))), []).append(u)
+                groups.setdefault(adj[u].bit_count(), []).append(u)
             cells.extend(tuple(groups[key]) for key in sorted(groups))
         return tuple(cells)
 
@@ -365,7 +365,7 @@ def _run_search(design: Design, node_cap=DEFAULT_NODE_CAP) -> _Search:
     if design.b == 0:
         raise DesignError("design has no blocks")
     check_point_cap(design)
-    if design.b > MAX_POINTS:  # the initial coloring compares every pair of blocks
+    if design.b > MAX_POINTS:  # every node refines, and every leaf orders, v + b vertices
         raise PointCapExceeded("design has %d blocks, above the cap MAX_POINTS = %d"
                                % (design.b, MAX_POINTS))
     return _Search(design, node_cap).run()

@@ -213,6 +213,44 @@ def test_search_rows_match_reference(monkeypatch, chunk):
         assert _Search(d, 10**7).adj == _reference_adj(d)
 
 
+def _pair_count_cells(self):
+    """The initial coloring of certificate version 1, kept verbatim as an
+    oracle: points, then blocks, split by (degree, sorted counts of common
+    neighbors with each other vertex of the same class), in key order."""
+    adj = self.adj
+    cells = []
+    for verts in (range(self.v), range(self.v, self.v + self.b)):
+        common = {u: [] for u in verts}
+        for i, u in enumerate(verts):
+            au, cu = adj[u], common[u]
+            for w in verts[i + 1 :]:
+                c = (au & adj[w]).bit_count()
+                cu.append(c)
+                common[w].append(c)
+        groups = {}
+        for u in verts:
+            groups.setdefault((adj[u].bit_count(), tuple(sorted(common[u]))), []).append(u)
+        cells.extend(tuple(groups[key]) for key in sorted(groups))
+    return tuple(cells)
+
+
+def test_degree_cells_match_pair_counts_on_designs():
+    """On every 2-design the suite builds, the pair counts split no cell
+    that degree leaves together; on most of the small random designs they
+    do, so the search oracles run on both colorings."""
+    designs = _oracle_designs()
+    two_designs = designs[:21] + _d96_labelings()[::2] + [
+        construction_36_cosets(), projective_design(5)]
+    for d in two_designs:
+        search = _Search(d, 10**7)
+        assert search._initial_cells() == _pair_count_cells(search)
+    differ = 0
+    for d in designs[21:]:
+        search = _Search(d, 10**7)
+        differ += search._initial_cells() != _pair_count_cells(search)
+    assert differ > 100
+
+
 # -- refinement oracle and golden outputs ---------------------------------------
 
 
@@ -312,7 +350,8 @@ class _EagerSearch(_Search):
             tuple(sorted(position[p - 1] + 1 for p in blk))
             for blk in self.design.blocks
         )
-        cert = ("v=%d;b=%d;" % (self.v, self.b)).encode("ascii") + ";".join(
+        head = "cert=%d;v=%d;b=%d;" % (autgrp.CERTIFICATE_VERSION, self.v, self.b)
+        cert = head.encode("ascii") + ";".join(
             ",".join(str(p) for p in blk) for blk in blocks
         ).encode("ascii")
         return _EagerLeaf(tokens, cert, order, prefix)
@@ -650,16 +689,42 @@ def test_greedy_filter_drops_found_automorphisms():
 
 
 def test_certificate_golden():
+    """Version 2 certificates of d36, pg 3 and d96 h2/2; without the
+    version field they are the version 1 bytes, as the degree coloring
+    gives these designs the cells that the pair counts gave."""
     cases = (
         (construction_36(),
+         "8e3b0b222ad631398763aace5eac4004b391ee15c75d2e027ca760cf4175d498",
          "6fea28652d8eb9282a5657f0ae0ca866637d59f1be7ec8d2ada7feba07fd5a59"),
         (projective_design(3),
+         "309f6ea9bda4e799afe20cdec650b5443ca98921bd0320e84a7d781da039d252",
          "a259547224d0586d850a16c94f99a1692e4446d064c3b439235e3126fe6bc5c7"),
         (design_96("h2", 2)[1],
+         "cfaa3f1cad4e078a080a7bbf5b219e6f012a309ace827dbc49bb0eae217c8fe7",
          "7683b99973036b0c635c41ccd76447c09f206a9b7178deaa1c52464d55b429e0"),
     )
-    for d, digest in cases:
-        assert hashlib.sha256(canonical_form(d).certificate).hexdigest() == digest
+    assert autgrp.CERTIFICATE_VERSION == 2
+    for d, digest, version_1 in cases:
+        cert = canonical_form(d).certificate
+        assert hashlib.sha256(cert).hexdigest() == digest
+        assert cert.startswith(b"cert=2;v=")
+        assert hashlib.sha256(cert[len(b"cert=2;"):]).hexdigest() == version_1
+
+
+# a 7-point non-design whose cells and certificate the degree coloring moves
+_NON_DESIGN = Design(7, [(1, 2, 7), (1, 3, 7), (1, 6, 7), (2, 5, 6), (3, 5, 6), (3, 5, 7),
+                         (3, 6, 7), (4, 6, 7)])
+
+
+def test_non_design_certificate_golden(monkeypatch):
+    """A search rule that moves this certificate must bump the version.
+    With the pair-count coloring patched in, the bytes after the version
+    field are version 1's."""
+    assert canonical_form(_NON_DESIGN).certificate == (
+        b"cert=2;v=7;b=8;1,6,7;2,3,6;2,4,7;3,5,6;3,5,7;4,5,7;4,6,7;5,6,7")
+    monkeypatch.setattr(_Search, "_initial_cells", _pair_count_cells)
+    assert canonical_form(_NON_DESIGN).certificate == (
+        b"cert=2;v=7;b=8;1,6,7;2,3,7;2,4,6;3,5,7;3,6,7;4,5,6;4,5,7;5,6,7")
 
 
 def _census_masks():

@@ -485,7 +485,8 @@ def test_format_design_text_names_only_the_points_that_occur():
 
 def test_aut_refuses_more_blocks_than_the_cap(tmp_path, capsys, monkeypatch):
     """``aut`` on 2,049 triples of 25 points exits 3 with a message naming
-    the blocks, before the search builds its pairwise block coloring."""
+    the blocks, before the search starts: each of its nodes refines all
+    v + b vertices."""
     path = tmp_path / "many.dsg"
     triples = list(combinations(range(1, 26), 3))[: design.MAX_POINTS + 1]
     path.write_text(format_design_text(Design(25, triples)))
