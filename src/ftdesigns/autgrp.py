@@ -483,30 +483,66 @@ def _byte_image(tables, mask):
             | t3[mask >> 24 & 255] | t4[mask >> 32])
 
 
-def _mask_orbits(masks, gens):
-    """Partition subset bitmasks into orbits under degree-36 generators, each
-    acting by its byte tables; raises AssertionError if an orbit leaves the family."""
-    return orbits_on(masks, [_byte_tables(g) for g in gens], _byte_image)
+def _pair_image(action, pair):
+    """The image of a (row index set, column index set) pair under an
+    element's (row map, column map), as sorted tuples."""
+    return tuple(tuple(sorted(map(line_map.__getitem__, lines)))
+                 for line_map, lines in zip(action, pair))
 
 
 def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
     """Census of the 8-subsets of the 6x6 grid meeting four rows and four
-    columns in 2 points each, under the twisted-diagonal group: counts the
+    columns in 2 points each, under the twisted-diagonal group G: counts the
     qualifying subsets, their group orbits, the orbits of size 90, how many
-    of those are 2-designs, and whether the designs are isomorphic."""
+    of those are 2-designs, and whether the designs are isomorphic.
+
+    Each qualifying subset lies on one (4 rows, 4 columns) pair, and G acts
+    on the 225 pairs; by orbit-stabilizer (Holt, Eick & O'Brien 2005, ch. 4)
+    the G-orbits on the subsets of a pair orbit's first pair are the orbits
+    of that pair's stabilizer on its 90 subsets, each longer by the pair
+    orbit's length.  The stabilizer is read off G's elements, enumerated by
+    ``closure``; both the element count and |stabilizer| x |pair orbit| are
+    checked against |G|.  The grid check of ``_qualifying_masks`` on each
+    first pair covers every pair, as G carries it onto its orbit.  An orbit
+    of size 90 is rebuilt as the closure of one subset under G's generators."""
     group = twisted_diagonal_group()
     systems = group.block_systems()
     if len(systems) != 2:
         raise AssertionError("expected two block systems, found %d" % len(systems))
     rows, cols = systems[0].parts, systems[1].parts
-    masks = _qualifying_masks(rows, cols)
-    orbits = _mask_orbits(masks, group.generators)
-    size_counts = Counter(len(orbit) for orbit in orbits)
+    order = group.order()
+    gens = [(0,) + g.images for g in group.generators]  # padded image tables
+    elements = closure([tuple(range(37))], gens, lambda g, u: tuple([g[x] for x in u]))
+    if len(elements) != order:
+        raise AssertionError("the generators give %d elements, not |G| = %d"
+                             % (len(elements), order))
+    line_of = [{p: i for i, line in enumerate(parts) for p in line} for parts in (rows, cols)]
+
+    def on_lines(g):  # g's maps of the row indices and of the column indices
+        return tuple(tuple([index[g[line[0]]] for line in parts])
+                     for index, parts in zip(line_of, (rows, cols)))
+
+    actions = [on_lines(e) for e in elements]
+    pairs = list(product(combinations(range(len(rows)), 4), combinations(range(len(cols)), 4)))
+    size_counts, qualifying, size90 = Counter(), 0, []
+    gen_tables = [_byte_tables(g.__getitem__) for g in gens]
+    for pair_orbit in orbits_on(pairs, [on_lines(g) for g in gens], _pair_image):
+        first = pair_orbit[0]
+        stabilizer = [e for e, a in zip(elements, actions) if _pair_image(a, first) == first]
+        if len(stabilizer) * len(pair_orbit) != order:
+            raise AssertionError("|stabilizer| %d x |pair orbit| %d is not |G| = %d"
+                                 % (len(stabilizer), len(pair_orbit), order))
+        masks = _qualifying_masks([rows[i] for i in first[0]], [cols[j] for j in first[1]])
+        qualifying += len(pair_orbit) * len(masks)
+        tables = [_byte_tables(e.__getitem__) for e in stabilizer]
+        for orbit in orbits_on(masks, tables, _byte_image):
+            size = len(pair_orbit) * len(orbit)
+            size_counts[size] += 1
+            if size == 90:
+                size90.append(tuple(sorted(closure(orbit[:1], gen_tables, _byte_image))))
     designs = []
     points = tuple(range(1, 37))
-    for orbit in orbits:
-        if len(orbit) != 90:
-            continue
+    for orbit in sorted(size90):  # in order of their least subsets
         d = Design(36, [_mask_block(mask, points) for mask in orbit])
         try:
             params = check_2_design(d)
@@ -518,8 +554,8 @@ def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
     if len(designs) == 2:
         iso, _ = are_isomorphic(designs[0], designs[1], node_cap)
     return CensusReport(
-        qualifying_subsets=len(masks),
-        orbit_count=len(orbits),
+        qualifying_subsets=qualifying,
+        orbit_count=sum(size_counts.values()),
         orbit_sizes=tuple(sorted(size_counts.items())),
         size90_orbits=size_counts.get(90, 0),
         design_orbits=len(designs),

@@ -399,15 +399,19 @@ def parse_design_text(text: str) -> Design:
 
 class _PointNames(dict):
     """point -> its spelling, made on the first lookup, so that the table
-    holds only the points that occur."""
+    holds only the points that occur; a point that is not an int (1.5,
+    True) raises DesignError, as its spelling would not parse."""
 
     def __missing__(self, p):
+        if type(p) is not int:
+            raise DesignError("point %r is not an int" % (p,))
         name = self[p] = str(p)
         return name
 
 
 def format_design_text(d: Design) -> str:
-    """Canonical design file: sorted blocks, ascending points."""
+    """Canonical design file: sorted blocks, ascending points.  Raises
+    DesignError for a point that is not an int."""
     names = _PointNames()
     lines = ["v %d" % d.v]
     lines.extend(" ".join(map(names.__getitem__, blk)) for blk in d.blocks)

@@ -23,11 +23,12 @@ Block systems come from one union-find, ``_min_partition``, run on the
 action on the parts of each invariant partition that ``block_systems``
 pops; systems are keyed by their block through 1.
 
-Orbits of points, point sets, bitmasks, flags and search vertices come
-from one routine, ``closure`` (Holt, Eick & O'Brien 2005, 4.1) with the
-action passed in, and ``orbits_on`` built on it, with no exception:
-``orbit_of_set`` is the closure of one point set.  Only ``_place_gen``
-grows the basic orbits of the stabilizer chain.
+Orbits of points, point sets, bitmasks, flags and search vertices, and
+the elements of a small group, come from one routine, ``closure`` (Holt,
+Eick & O'Brien 2005, 4.1) with the action passed in, and ``orbits_on``
+built on it, with no exception: ``orbit_of_set`` is the closure of one
+point set.  Only ``_place_gen`` grows the basic orbits of the stabilizer
+chain.
 
 One image test on point masks, ``_mask_images``, answers every
 automorphism and invariance test; one reader, ``_read_counted_lines``,

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -15,7 +16,6 @@ from ftdesigns.autgrp import (
     ResourceCapExceeded,
     _Search,
     _common_depth,
-    _mask_orbits,
     _proved_order,
     _qualifying_masks,
     are_isomorphic,
@@ -30,7 +30,7 @@ from ftdesigns.construct import (
     design_96,
 )
 from ftdesigns.design import Design, format_design_text, is_automorphism
-from ftdesigns.perm import PermGroup, Permutation
+from ftdesigns.perm import PermGroup, Permutation, orbits_on
 
 from test_design import reference_block_images
 
@@ -742,6 +742,12 @@ def test_qualifying_masks_golden():
     assert digest == "60813731080a09517de62bc579045869b69ecb9a464d133a8c291b24f212fe31"
 
 
+def _mask_orbits(masks, gens):
+    """Oracle: the orbits of the census masks under degree-36 generators,
+    from the closure of every mask under each generator's byte tables."""
+    return orbits_on(masks, [autgrp._byte_tables(g) for g in gens], autgrp._byte_image)
+
+
 def test_census_orbits_golden():
     # sha256 of the orbits as the bit-walking mask image gave them
     masks, gens = _census_masks()
@@ -751,6 +757,38 @@ def test_census_orbits_golden():
         "4ef0fd11832da9179046699a62288ad91527f0a8682e4ed1659164752313bda4")
     assert len(orbits) == 42
     assert sorted({len(orbit) for orbit in orbits}) == [90, 180, 360, 720]
+
+
+def test_census_matches_the_mask_closure_oracle(monkeypatch):
+    """The pair-orbit census counts the oracle's subsets, orbits and orbit
+    sizes, and checks the oracle's size-90 orbits, in order."""
+    masks, gens = _census_masks()
+    orbits = _mask_orbits(masks, gens)
+    checked = []  # every mask the census turns into a block, in order
+    mask_block = autgrp._mask_block
+    monkeypatch.setattr(autgrp, "_mask_block",
+                        lambda mask, points: checked.append(mask) or mask_block(mask, points))
+    report = autgrp.uniqueness_census_36()
+    assert report.qualifying_subsets == len(masks) == 20250
+    assert report.orbit_count == len(orbits) == 42
+    assert report.orbit_sizes == tuple(sorted(Counter(map(len, orbits)).items()))
+    size90 = [orbit for orbit in orbits if len(orbit) == 90]
+    assert len(size90) == report.size90_orbits == 5
+    assert [tuple(checked[i:i + 90]) for i in range(0, len(checked), 90)] == size90
+
+
+def test_census_guards_fire(monkeypatch):
+    """Dropping one element of the enumeration fails the element count;
+    with |G| patched to match, it fails the orbit-stabilizer identity."""
+    closure = autgrp.closure
+    monkeypatch.setattr(autgrp, "closure", lambda *args: closure(*args)[:-1])
+    with pytest.raises(AssertionError, match="give 719 elements"):
+        autgrp.uniqueness_census_36()
+    group = PermGroup(twisted_diagonal_group().generators, degree=36)
+    monkeypatch.setattr(group, "order", lambda: 719)
+    monkeypatch.setattr(autgrp, "twisted_diagonal_group", lambda: group)
+    with pytest.raises(AssertionError, match="stabilizer"):
+        autgrp.uniqueness_census_36()
 
 
 def _reference_mask_image(table, mask):
@@ -829,7 +867,7 @@ if swapped == d:
 cycle36 = Permutation(list(range(2, 37)) + [1])
 autgrp.twisted_diagonal_group = lambda: PermGroup([cycle36], degree=36)
 print(raises(autgrp.are_isomorphic, d, swapped),
-      raises(autgrp._mask_orbits, [1], [cycle36]),
+      raises(autgrp.orbits_on, [1], [autgrp._byte_tables(cycle36)], autgrp._byte_image),
       raises(autgrp._qualifying_masks, [(1, 2)], [(1, 2)]),
       raises(autgrp.uniqueness_census_36))
 """

@@ -523,6 +523,18 @@ def test_design_file_round_trip():
         parse_design_text("v 4\n1 x\n")
 
 
+def test_format_rejects_points_that_are_not_ints():
+    """`Design` keeps 1.5 and True as points, but their spellings would not
+    parse, so formatting them raises."""
+    for point in (1.5, True):
+        d = Design(3, [(point, 2)])
+        assert d.blocks[0][0] is point
+        with pytest.raises(DesignError, match="point %r is not an int" % point):
+            format_design_text(d)
+    with pytest.raises(DesignError):
+        parse_design_text("v 3\n1.5 2\n")
+
+
 def odd_spelling(d):
     """The design file of d with each point spelled one of five ways int()
     accepts: "7", "07", "+7", fullwidth "７" and "0_7" (or "1_2" for 12)."""
