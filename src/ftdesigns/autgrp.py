@@ -7,23 +7,24 @@ point/block incidence structure, in the style of canonical graph labeling:
   incidence (the point rows of ``design._point_rows``, shifted past the
   points, and the block masks of ``Design.block_index``), and the two
   color classes never mix;
-- the initial coloring splits points by degree and blocks by size, each
-  class in degree order (any label-invariant coloring will do; McKay &
-  Piperno 2014); counts of common neighbours of vertex pairs would split
-  no cell of a 2-design that is symmetric or block-transitive, as every
-  design in scope is;
+- the search starts from the two color classes (any label-invariant
+  coloring will do; McKay & Piperno 2014), and the first refinement round
+  splits them into points by degree and blocks by size, each in degree
+  order; counts of common neighbours of vertex pairs would split no cell
+  of a 2-design that is symmetric or block-transitive, as every design in
+  scope is;
 - refinement splits cells by neighbor counts into the other cells until the
   coloring is equitable; its sequence of split events is the trace token,
   which picks the canonical leaf and so is part of the certificate (a
   test pins it against the original full-rescan refinement);
 - a refinement round runs as splitters only the cells that can still
-  split: every cell at the root, the individualized singleton below it,
-  and then the parts of each cell split in the round before, except the
-  last part (McKay 1981; McKay & Piperno 2014).  A skipped cell would
-  split nothing, so it adds no event and the trace is that of the full
-  rescan: once a cell has run as a splitter, every cell has equal counts
-  into it until it splits, and the last part's counts are its old cell's
-  counts minus those of the parts before it;
+  split: both color classes at the root, the individualized singleton
+  below it, and then the parts of each cell split in the round before,
+  except the last part (McKay 1981; McKay & Piperno 2014).  A skipped
+  cell would split nothing, so it adds no event and the trace is that of
+  the full rescan: once a cell has run as a splitter, every cell has equal
+  counts into it until it splits, and the last part's counts are its old
+  cell's counts minus those of the parts before it;
 - the search individualizes vertices of the first smallest non-singleton
   cell (children in vertex order), records a label-invariant trace token
   per node, and keeps two reference leaves: the first leaf (for
@@ -31,8 +32,8 @@ point/block incidence structure, in the style of canonical graph labeling:
   point order defines the canonical form: the design relabeled by it
   (``Design.relabel``), serialized as the certificate, which starts with
   its version, ``cert=CERTIFICATE_VERSION;``: a change to the search that
-  can move a certificate bumps the version (version 1, with no field, had
-  the pair-count initial coloring);
+  can move a certificate bumps the version (version 1, with no field,
+  started from a pair-count coloring);
 - a leaf's certificate is built only when it is compared or returned.
   Points fill the first v positions of every leaf's order, so two leaves'
   certificates are equal exactly when the point map between their orders
@@ -152,22 +153,6 @@ class _Search:
         self.best: Optional[_Leaf] = None
         self.autos = {}  # vertex image tuple -> point Permutation, in order found
 
-    # -- initial coloring by degree -----------------------------------------
-
-    def _initial_cells(self):
-        """Points, then blocks, each split by degree, in degree order and
-        each cell in vertex order.  Any label-invariant first coloring will
-        do (McKay & Piperno 2014); refinement then splits what degree
-        leaves together."""
-        adj = self.adj
-        cells = []
-        for verts in (range(self.v), range(self.v, self.v + self.b)):
-            groups = {}
-            for u in verts:
-                groups.setdefault(adj[u].bit_count(), []).append(u)
-            cells.extend(tuple(groups[key]) for key in sorted(groups))
-        return tuple(cells)
-
     # -- refinement -------------------------------------------------------
 
     def _refine(self, cells, splitters):
@@ -183,13 +168,13 @@ class _Search:
         testing every cell.
 
         ``splitters`` gives the indices of the first round's splitters, in
-        order: ``run`` passes every cell, and ``_recurse`` only the
-        individualized singleton: the parent's cells were equitable, so the
-        rest of the target cell splits nothing once the singleton has run.
-        A later round runs the parts of each cell split in the round before,
-        except the last part.  A skipped cell would split nothing, so the
-        events are those of running every cell: once a splitter has run,
-        every cell has equal counts into it, so a cell not split since
+        order: ``run`` passes the two color classes, and ``_recurse`` only
+        the individualized singleton: the parent's cells were equitable, so
+        the rest of the target cell splits nothing once the singleton has
+        run.  A later round runs the parts of each cell split in the round
+        before, except the last part.  A skipped cell would split nothing,
+        so the events are those of running every cell: once a splitter has
+        run, every cell has equal counts into it, so a cell not split since
         cannot split anything, and the last part's counts are its old
         cell's counts minus those of the parts run before it."""
         adj, v = self.adj, self.v
@@ -267,8 +252,6 @@ class _Search:
         for a, b in zip(earlier.order, leaf.order):
             gmap[a] = b
         key = tuple(gmap)
-        if key in self.autos:
-            return True
         perm = Permutation([u + 1 for u in key[: self.v]])
         if not is_automorphism(self.design, perm):
             return False
@@ -309,8 +292,8 @@ class _Search:
     # -- main recursion -----------------------------------------------------
 
     def run(self):
-        cells = self._initial_cells()
-        cells, token = self._refine(cells, range(len(cells)))
+        cells = (tuple(range(self.v)), tuple(range(self.v, self.v + self.b)))
+        cells, token = self._refine(cells, (0, 1))
         self._recurse(cells, (token,), ())
         return self
 
@@ -483,28 +466,24 @@ def _byte_image(tables, mask):
             | t3[mask >> 24 & 255] | t4[mask >> 32])
 
 
-def _pair_image(action, pair):
-    """The image of a (row index set, column index set) pair under an
-    element's (row map, column map), as sorted tuples."""
-    return tuple(tuple(sorted(map(line_map.__getitem__, lines)))
-                 for line_map, lines in zip(action, pair))
-
-
 def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
     """Census of the 8-subsets of the 6x6 grid meeting four rows and four
     columns in 2 points each, under the twisted-diagonal group G: counts the
     qualifying subsets, their group orbits, the orbits of size 90, how many
     of those are 2-designs, and whether the designs are isomorphic.
 
-    Each qualifying subset lies on one (4 rows, 4 columns) pair, and G acts
-    on the 225 pairs; by orbit-stabilizer (Holt, Eick & O'Brien 2005, ch. 4)
-    the G-orbits on the subsets of a pair orbit's first pair are the orbits
-    of that pair's stabilizer on its 90 subsets, each longer by the pair
-    orbit's length.  The stabilizer is read off G's elements, enumerated by
-    ``closure``; both the element count and |stabilizer| x |pair orbit| are
-    checked against |G|.  The grid check of ``_qualifying_masks`` on each
-    first pair covers every pair, as G carries it onto its orbit.  An orbit
-    of size 90 is rebuilt as the closure of one subset under G's generators."""
+    Each qualifying subset lies on one (4 rows, 4 columns) pair, held as
+    the mask of its 16 grid points, and G acts on the 225 pair masks by the
+    byte tables that act on the subsets (``orbits_on`` checks that G
+    carries each pair onto a pair); by orbit-stabilizer (Holt, Eick &
+    O'Brien 2005, ch. 4) the G-orbits on the subsets of a pair orbit's
+    first pair are the orbits of that pair's stabilizer on its 90 subsets,
+    each longer by the pair orbit's length.  The stabilizer is the elements
+    of G, enumerated by ``closure``, that keep the first pair's points in
+    it; both the element count and |stabilizer| x |pair orbit| are checked
+    against |G|.  The grid check of ``_qualifying_masks`` on each first
+    pair covers every pair, as G carries it onto its orbit.  An orbit of
+    size 90 is rebuilt as the closure of one subset under G's generators."""
     group = twisted_diagonal_group()
     systems = group.block_systems()
     if len(systems) != 2:
@@ -516,23 +495,22 @@ def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
     if len(elements) != order:
         raise AssertionError("the generators give %d elements, not |G| = %d"
                              % (len(elements), order))
-    line_of = [{p: i for i, line in enumerate(parts) for p in line} for parts in (rows, cols)]
-
-    def on_lines(g):  # g's maps of the row indices and of the column indices
-        return tuple(tuple([index[g[line[0]]] for line in parts])
-                     for index, parts in zip(line_of, (rows, cols)))
-
-    actions = [on_lines(e) for e in elements]
-    pairs = list(product(combinations(range(len(rows)), 4), combinations(range(len(cols)), 4)))
+    points = tuple(range(1, 37))
+    row_masks, col_masks = ([sum(1 << p - 1 for p in line) for line in parts]
+                            for parts in (rows, cols))
+    pairs = [sum(rs) & sum(cs)
+             for rs in combinations(row_masks, 4) for cs in combinations(col_masks, 4)]
     size_counts, qualifying, size90 = Counter(), 0, []
     gen_tables = [_byte_tables(g.__getitem__) for g in gens]
-    for pair_orbit in orbits_on(pairs, [on_lines(g) for g in gens], _pair_image):
+    for pair_orbit in orbits_on(pairs, gen_tables, _byte_image):
         first = pair_orbit[0]
-        stabilizer = [e for e, a in zip(elements, actions) if _pair_image(a, first) == first]
+        grid = [p for p in points if first >> p - 1 & 1]
+        stabilizer = [e for e in elements if all(first >> (e[p] - 1) & 1 for p in grid)]
         if len(stabilizer) * len(pair_orbit) != order:
             raise AssertionError("|stabilizer| %d x |pair orbit| %d is not |G| = %d"
                                  % (len(stabilizer), len(pair_orbit), order))
-        masks = _qualifying_masks([rows[i] for i in first[0]], [cols[j] for j in first[1]])
+        masks = _qualifying_masks([line for line, m in zip(rows, row_masks) if m & first],
+                                  [line for line, m in zip(cols, col_masks) if m & first])
         qualifying += len(pair_orbit) * len(masks)
         tables = [_byte_tables(e.__getitem__) for e in stabilizer]
         for orbit in orbits_on(masks, tables, _byte_image):
@@ -541,7 +519,6 @@ def uniqueness_census_36(node_cap=DEFAULT_NODE_CAP) -> CensusReport:
             if size == 90:
                 size90.append(tuple(sorted(closure(orbit[:1], gen_tables, _byte_image))))
     designs = []
-    points = tuple(range(1, 37))
     for orbit in sorted(size90):  # in order of their least subsets
         d = Design(36, [_mask_block(mask, points) for mask in orbit])
         try:

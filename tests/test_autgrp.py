@@ -25,12 +25,13 @@ from ftdesigns.autgrp import (
 from ftdesigns.construct import (
     construction_36,
     construction_36_cosets,
+    grid_index,
     projective_design,
     twisted_diagonal_group,
     design_96,
 )
 from ftdesigns.design import Design, format_design_text, is_automorphism
-from ftdesigns.perm import PermGroup, Permutation, orbits_on
+from ftdesigns.perm import BlockSystem, PermGroup, Permutation, orbits_on
 
 from test_design import reference_block_images
 
@@ -234,20 +235,42 @@ def _pair_count_cells(self):
     return tuple(cells)
 
 
-def test_degree_cells_match_pair_counts_on_designs():
-    """On every 2-design the suite builds, the pair counts split no cell
-    that degree leaves together; on most of the small random designs they
-    do, so the search oracles run on both colorings."""
+def _degree_cells(self):
+    """The initial coloring by degree that the search started from before
+    it refined the two color classes, kept verbatim as an oracle: points,
+    then blocks, each split by degree, in degree order and each cell in
+    vertex order."""
+    adj = self.adj
+    cells = []
+    for verts in (range(self.v), range(self.v, self.v + self.b)):
+        groups = {}
+        for u in verts:
+            groups.setdefault(adj[u].bit_count(), []).append(u)
+        cells.extend(tuple(groups[key]) for key in sorted(groups))
+    return tuple(cells)
+
+
+def test_root_refinement_matches_the_degree_coloring():
+    """Refining the two color classes gives the cells, in order, that
+    refining the degree cells gave.  On every 2-design the suite builds,
+    the pair counts split no cell of the two classes; on most of the small
+    random designs they split what degree leaves together, so the search
+    oracles run on both colorings."""
     designs = _oracle_designs()
     two_designs = designs[:21] + _d96_labelings()[::2] + [
         construction_36_cosets(), projective_design(5)]
+    for d in designs + two_designs[21:]:
+        search = _Search(d, 10**7)
+        classes = (tuple(range(d.v)), tuple(range(d.v, d.v + d.b)))
+        degree = _degree_cells(search)
+        assert search._refine(classes, (0, 1))[0] == search._refine(degree, range(len(degree)))[0]
     for d in two_designs:
         search = _Search(d, 10**7)
-        assert search._initial_cells() == _pair_count_cells(search)
+        assert _pair_count_cells(search) == (tuple(range(d.v)), tuple(range(d.v, d.v + d.b)))
     differ = 0
     for d in designs[21:]:
         search = _Search(d, 10**7)
-        differ += search._initial_cells() != _pair_count_cells(search)
+        differ += _degree_cells(search) != _pair_count_cells(search)
     assert differ > 100
 
 
@@ -690,8 +713,8 @@ def test_greedy_filter_drops_found_automorphisms():
 
 def test_certificate_golden():
     """Version 2 certificates of d36, pg 3 and d96 h2/2; without the
-    version field they are the version 1 bytes, as the degree coloring
-    gives these designs the cells that the pair counts gave."""
+    version field they are the version 1 bytes, as the pair counts split
+    neither color class of these designs."""
     cases = (
         (construction_36(),
          "8e3b0b222ad631398763aace5eac4004b391ee15c75d2e027ca760cf4175d498",
@@ -711,18 +734,26 @@ def test_certificate_golden():
         assert hashlib.sha256(cert[len(b"cert=2;"):]).hexdigest() == version_1
 
 
-# a 7-point non-design whose cells and certificate the degree coloring moves
+# a 7-point non-design on which the pair-count coloring of version 1 gives
+# other cells and another certificate
 _NON_DESIGN = Design(7, [(1, 2, 7), (1, 3, 7), (1, 6, 7), (2, 5, 6), (3, 5, 6), (3, 5, 7),
                          (3, 6, 7), (4, 6, 7)])
 
 
 def test_non_design_certificate_golden(monkeypatch):
     """A search rule that moves this certificate must bump the version.
-    With the pair-count coloring patched in, the bytes after the version
-    field are version 1's."""
+    With the search started from the pair-count coloring, the bytes after
+    the version field are version 1's."""
     assert canonical_form(_NON_DESIGN).certificate == (
         b"cert=2;v=7;b=8;1,6,7;2,3,6;2,4,7;3,5,6;3,5,7;4,5,7;4,6,7;5,6,7")
-    monkeypatch.setattr(_Search, "_initial_cells", _pair_count_cells)
+
+    def run_from_pair_counts(self):
+        cells = _pair_count_cells(self)
+        cells, token = self._refine(cells, range(len(cells)))
+        self._recurse(cells, (token,), ())
+        return self
+
+    monkeypatch.setattr(_Search, "run", run_from_pair_counts)
     assert canonical_form(_NON_DESIGN).certificate == (
         b"cert=2;v=7;b=8;1,6,7;2,3,7;2,4,6;3,5,7;3,6,7;4,5,6;4,5,7;5,6,7")
 
@@ -778,8 +809,19 @@ def test_census_matches_the_mask_closure_oracle(monkeypatch):
 
 
 def test_census_guards_fire(monkeypatch):
-    """Dropping one element of the enumeration fails the element count;
-    with |G| patched to match, it fails the orbit-stabilizer identity."""
+    """The rows and the six diagonals {(i, i + j mod 6)} form a grid that G
+    does not keep, so a pair orbit leaves the pairs.  Dropping one element
+    of the enumeration fails the element count; with |G| patched to match,
+    it fails the orbit-stabilizer identity."""
+    rows = BlockSystem(36, [range(6 * i + 1, 6 * i + 7) for i in range(6)])
+    diagonals = BlockSystem(36, [[grid_index(i + 1, (i + j) % 6 + 1) for i in range(6)]
+                                 for j in range(6)])
+    with monkeypatch.context() as patch:
+        group = twisted_diagonal_group()
+        patch.setattr(group, "block_systems", lambda: [rows, diagonals])
+        patch.setattr(autgrp, "twisted_diagonal_group", lambda: group)
+        with pytest.raises(AssertionError, match="leaves the items"):
+            autgrp.uniqueness_census_36()
     closure = autgrp.closure
     monkeypatch.setattr(autgrp, "closure", lambda *args: closure(*args)[:-1])
     with pytest.raises(AssertionError, match="give 719 elements"):

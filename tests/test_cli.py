@@ -613,6 +613,13 @@ def test_node_cap_below_1_is_an_input_error(tmp_path, capsys, argv):
     assert "argument --node-cap: must be at least 1" in capsys.readouterr().err
 
 
+def test_node_cap_not_an_int_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--node-cap", "x", "census36"], out=io.StringIO())
+    assert exc.value.code == cli.EXIT_INPUT_ERROR
+    assert "argument --node-cap: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_bounds():
     code, text = run_cli(["bounds", "2", "4", "--format", "json"])
     assert code == 0

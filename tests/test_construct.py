@@ -46,6 +46,10 @@ def test_grid_encoding():
         [1, 2, 7, 9, 14, 16, 21, 22]
     for p in range(1, 37):
         assert grid_index(*grid_coords(p)) == p
+    with pytest.raises(ValueError, match=r"out of range: \(7, 1\)"):
+        grid_index(7, 1)
+    with pytest.raises(ValueError, match="grid point out of range: 0"):
+        grid_coords(0)
 
 
 def test_twisted_diagonal_group():
@@ -407,6 +411,8 @@ def test_block_regular_groups():
         assert g.degree == 96 and g.order() == 96
         assert len(g.generators) == 3
         assert g.is_transitive()
+    with pytest.raises(ValueError, match="group_id must be"):
+        block_regular_group_96("h3")
 
 
 def test_design_96s():
@@ -479,6 +485,11 @@ def test_construct_by_name():
         construct_by_name(["pg"])
     with pytest.raises(ValueError):
         construct_by_name(["d96", "h1", "3"])
+    for tokens, message in (([], "missing construction name"),
+                            (["d36", "x"], "d36 takes no arguments"),
+                            (["d36-cosets", "x"], "d36-cosets takes no arguments")):
+        with pytest.raises(ValueError, match=message):
+            construct_by_name(tokens)
 
 
 def test_coset_design_is_a_design_not_equal_to_grid_labeling():

@@ -76,6 +76,8 @@ def test_design_normalization_and_errors():
         Design(4, [(1, 5)])
     with pytest.raises(DesignError):
         Design(4, [()])
+    with pytest.raises(DesignError, match="^permutation degree 35 != v 36$"):
+        construction_36().relabel(Permutation.identity(35))
 
 
 class _TupleSubclass(tuple):

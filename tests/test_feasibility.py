@@ -111,6 +111,8 @@ def test_enumerate_lx():
     assert enumerate_lx(2) == [(2, 1)]
     with pytest.raises(ValueError):
         enumerate_lx(1)
+    with pytest.raises(ValueError, match="lambda must be at least 2"):
+        feasible_tuples(1)
 
 
 def test_lambda3_table():

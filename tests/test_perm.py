@@ -49,8 +49,11 @@ def test_parse_cycles_examples():
     assert parse_cycles("", 5) == Permutation.identity(5)
     assert parse_cycles("()", 5) == Permutation.identity(5)
     assert parse_cycles("(1,3)(2,6,5)", 6).images == (3, 6, 1, 4, 2, 5)
-    # whitespace after commas is fine
+    # whitespace after commas and between cycles is fine
     assert parse_cycles("(1, 4)(2, 6)(3, 5)", 6).images == (4, 6, 5, 1, 3, 2)
+    assert parse_cycles("(1,2) (3,4)", 4).images == (2, 1, 4, 3)
+    # a fixed point may be written out
+    assert parse_cycles("(5)(1,2)", 5).images == (2, 1, 3, 4, 5)
 
 
 def test_parse_cycles_errors():
@@ -64,6 +67,8 @@ def test_parse_cycles_errors():
         parse_cycles("(1,x)", 4)
     with pytest.raises(CycleParseError):
         parse_cycles("1,2", 4)
+    with pytest.raises(CycleParseError, match="degree must be positive"):
+        parse_cycles("", 0)
 
 
 def test_format_parse_round_trip():
@@ -345,6 +350,8 @@ def test_orbits():
     assert S6().orbit(1) == tuple(range(1, 7))
     assert g.orbits() == [(1, 2), (3, 4)]
     assert not g.is_transitive()
+    with pytest.raises(ValueError, match=r"^point 0 out of range 1\.\.4$"):
+        g.orbit(0)
 
 
 def test_set_orbit_and_stabilizer():
@@ -470,6 +477,13 @@ def test_block_systems_small():
     assert [(s.part_size, s.num_parts) for s in c8.block_systems()] == [(2, 4), (4, 2)]
     # S6 natural action is primitive
     assert S6().block_systems() == []
+    assert repr(systems[0]) == "BlockSystem(c=2, d=2)"
+    for degree, parts, message in ((4, [(1, 2), (3,)], "do not partition"),
+                                   (6, [(1, 2), (3, 4, 5, 6)], "unequal sizes"),
+                                   (4, [(1,), (2,), (3,), (4,)], "trivial partition"),
+                                   (4, [(1, 2, 3, 4)], "trivial partition")):
+        with pytest.raises(ValueError, match=message):
+            BlockSystem(degree, parts)
 
 
 def test_block_systems_invariance_and_order():
