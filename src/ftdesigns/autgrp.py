@@ -51,7 +51,19 @@ point/block incidence structure, in the style of canonical graph labeling:
   carrying the earlier leaf's path onto its own, so it maps the explored
   subtree below their common ancestor onto the rest of the current one:
   the search backjumps to that ancestor (McKay 1981), which changes neither
-  the best leaf nor the group generated.
+  the best leaf nor the group generated;
+- the search follows its first leaf's trace (McKay & Piperno 2014): the
+  refinement that ends in the first leaf records its split events as
+  position ranges, and a child at that leaf's depth, below a parent with
+  the first leaf's tokens, replays them in place of a full refinement,
+  stopping at the first split whose sorted counts differ, which proves
+  that the child's trace differs.  The replayed order is kept only when
+  ``_match`` shows its point map is an automorphism that carries the
+  first leaf's path onto the child's; that automorphism of the incidence
+  structure commutes with refinement, so refining the child in full would
+  give the first leaf's trace and this same order.  Otherwise the child is
+  refined in full, and nodes, stored automorphisms and certificates are
+  those of refining every child.
 
 Search size is bounded by a node cap; hitting it raises
 ResourceCapExceeded rather than returning a truncated answer.
@@ -61,7 +73,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from operator import getitem
 from typing import Optional
 
@@ -152,6 +164,8 @@ class _Search:
         self.first: Optional[_Leaf] = None
         self.best: Optional[_Leaf] = None
         self.autos = {}  # vertex image tuple -> point Permutation, in order found
+        self.shift = (self.v + self.b).bit_length()  # a vertex fits below this bit
+        self.script = ()  # the first leaf's split events, recorded by _refine
 
     # -- refinement -------------------------------------------------------
 
@@ -176,13 +190,25 @@ class _Search:
         so the events are those of running every cell: once a splitter has
         run, every cell has equal counts into it, so a cell not split since
         cannot split anything, and the last part's counts are its old
-        cell's counts minus those of the parts run before it."""
+        cell's counts minus those of the parts run before it.
+
+        On the descent to the first leaf (``first`` is None), each event is
+        also recorded for ``_replay`` as position ranges, the splitter's
+        round-start cell [a, b) and the split cell [c, d), with the runs of
+        its sorted counts (``_count_runs``).  Cells split in place, so a
+        cell is a range of every later order.  The script is kept from the
+        call that ends in a discrete coloring, the first leaf."""
         adj, v = self.adj, self.v
         trace = []
+        script = None
+        if self.first is None:
+            script, at = [], list(accumulate(map(len, cells), initial=0))  # cell starts, end
         targets = None
         while splitters:
             start = cells
             origin = list(range(len(cells)))  # round-start cell of each cell
+            if script is not None:
+                starts = at[:]
             for si in splitters:
                 scell = start[si]
                 if targets is None:
@@ -206,14 +232,24 @@ class _Search:
                     keys = sorted(buckets)
                     trace.append((si, ci, tuple(keys), tuple([len(buckets[k]) for k in keys])))
                     parts.append((ci, [tuple(buckets[k]) for k in keys]))
+                    if script is not None:
+                        script.append((starts[si], starts[si + 1], at[ci], at[ci + 1]))
                 if parts:
                     newcells = list(cells)
                     for ci, split in reversed(parts):
                         newcells[ci : ci + 1] = split
                         origin[ci : ci + 1] = [origin[ci]] * len(split)
+                        if script is not None:  # the starts of the parts after the first
+                            end = at[ci]
+                            for j, part in enumerate(split[:-1], ci + 1):
+                                end += len(part)
+                                at.insert(j, end)
                     cells = tuple(newcells)
                     targets = None
             splitters = [i for i in range(len(cells) - 1) if origin[i] == origin[i + 1]]
+        if script is not None and len(cells) == len(adj):  # the first leaf
+            self.script = [ranges + (_count_runs(keys, sizes, self.shift),)
+                           for ranges, (_, _, keys, sizes) in zip(script, trace)]
         return cells, tuple(trace)
 
     def _nonsingletons(self, cells):
@@ -224,6 +260,34 @@ class _Search:
             if len(cell) > 1:
                 targets[cell[0] >= self.v].append(ci)
         return targets
+
+    def _replay(self, cells):
+        """The order that the first leaf's split events give the unrefined
+        child ``cells``, or None at the first event whose sorted counts
+        differ from the recorded ones.
+
+        Each event sorts the range [c, d) of the flattened cells by each
+        vertex's count into the vertices of the range [a, b), as one sorted
+        list of count << shift | vertex.  While the counts agree, the ranges
+        sorted are the first leaf's cells, which later events split whole,
+        so the order within a part does not matter; and the ranges nest or
+        are disjoint, so a range's vertex set does not change while the
+        replay runs, and its mask is built once."""
+        adj, shift = self.adj, self.shift
+        low = (1 << shift) - 1
+        order = [u for cell in cells for u in cell]
+        masks = {}
+        for a, b, c, d, runs in self.script:
+            mask = masks.get((a, b))
+            if mask is None:
+                mask = masks[a, b] = sum([1 << u for u in order[a:b]])
+            keyed = [(adj[u] & mask).bit_count() << shift | u for u in order[c:d]]
+            keyed.sort()
+            for i, lo, j, hi in runs:
+                if keyed[i] < lo or keyed[j] >= hi:
+                    return None
+            order[c:d] = [x & low for x in keyed]
+        return order
 
     @staticmethod
     def _individualize(cells, ci, w):
@@ -242,25 +306,36 @@ class _Search:
 
     def _match(self, earlier, leaf):
         """Whether the point map earlier.order[i] -> leaf.order[i] is an
-        automorphism; a new one is stored, keyed by its vertex image tuple.
+        automorphism that carries each block on the earlier leaf's path onto
+        the block at the same depth of this leaf's path; a new one is
+        stored, keyed by its vertex image tuple.
 
         Points fill positions 0..v-1 of every order, so the two leaves'
         certificates are equal exactly when this map carries the block set
         onto itself (designs here are simple): the test decides certificate
-        equality without building either certificate."""
-        gmap = [0] * (self.v + self.b)
+        equality without building either certificate.  A point on the
+        earlier path sits where the point at the same depth of this path
+        sits, so with the block check the automorphism of the incidence
+        structure that the point map induces carries the earlier path onto
+        this one, which a replayed leaf needs."""
+        v, adj = self.v, self.adj
+        gmap = [0] * (v + self.b)
         for a, b in zip(earlier.order, leaf.order):
             gmap[a] = b
         key = tuple(gmap)
-        perm = Permutation([u + 1 for u in key[: self.v]])
+        perm = Permutation([u + 1 for u in key[:v]])
         if not is_automorphism(self.design, perm):
             return False
+        for w, u in zip(earlier.prefix, leaf.prefix):
+            if w >= v and sum([1 << gmap[p - 1] for p in self.design.blocks[w - v]]) != adj[u]:
+                return False
         self.autos[key] = perm
         return True
 
-    def _handle_leaf(self, leaf):
+    def _handle_leaf(self, leaf, first_match=None):
         """Compare a leaf with the first and best leaves; returns the depth
         of its common ancestor with the shallower one it matches, or None.
+        ``first_match`` is whether it matches the first leaf, when known.
 
         A leaf matches an earlier one when their tokens are equal and
         ``_match`` finds an automorphism, which is when their certificates
@@ -275,7 +350,8 @@ class _Search:
             self.first = self.best = leaf
             return None
         jump = None
-        first_match = leaf.tokens == first.tokens and self._match(first, leaf)
+        if first_match is None:
+            first_match = leaf.tokens == first.tokens and self._match(first, leaf)
         if first_match:
             jump = _common_depth(first.prefix, leaf.prefix)
         if leaf.tokens > best.tokens:
@@ -297,19 +373,43 @@ class _Search:
         self._recurse(cells, (token,), ())
         return self
 
-    def _recurse(self, cells, tokens, prefix):
+    def _recurse(self, cells, tokens, prefix, ti=None):
         """Explore the node reached by individualizing ``prefix``; returns
-        None, or the depth of the ancestor to unwind to."""
+        None, or the depth of the ancestor to unwind to.
+
+        A child comes unrefined, with its parent's ``tokens`` and ``ti`` the
+        index of its individualized singleton, and counts against the cap
+        before it is refined.  At the first leaf's depth, below a parent
+        with the first leaf's tokens, a replayed leaf (``_replay``) that
+        matches the first leaf stands for the refined child (see the module
+        docstring).  Otherwise the child is refined in full; a leaf with the
+        replayed order is then known not to match the first leaf."""
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise ResourceCapExceeded(self.nodes, self.autos.values())
+        missed = None
+        if ti is not None:
+            first = self.first
+            if first is not None and len(prefix) == len(first.prefix) \
+                    and tokens == first.tokens[:-1]:
+                order = self._replay(cells)
+                if order is not None:
+                    leaf = _Leaf(self.design, first.tokens, order, prefix)
+                    if self._match(first, leaf):
+                        return self._handle_leaf(leaf, True)
+                    missed = order
+            cells, token = self._refine(cells, (ti,))
+            tokens += (token,)
         keep_first = self.first is None or tokens == self.first.tokens[: len(tokens)]
         keep_best = self.best is None or tokens >= self.best.tokens[: len(tokens)]
         if not (keep_first or keep_best):
             return None
         sizes = [len(cell) for cell in cells]
         if max(sizes) == 1:
-            return self._handle_leaf(self._leaf(cells, tokens, prefix))
+            leaf = self._leaf(cells, tokens, prefix)
+            if leaf.order == missed:
+                return self._handle_leaf(leaf, False)
+            return self._handle_leaf(leaf)
         smallest = min(s for s in sizes if s > 1)
         ti = next(i for i, s in enumerate(sizes) if s == smallest)
         # pruned: the explored children's closure under gens, the found
@@ -325,13 +425,25 @@ class _Search:
                     pruned = set(closure(pruned, gens, getitem))
             if w in pruned:
                 continue
-            child = self._individualize(cells, ti, w)
-            child, token = self._refine(child, (ti,))
-            jump = self._recurse(child, tokens + (token,), prefix + (w,))
+            jump = self._recurse(self._individualize(cells, ti, w), tokens, prefix + (w,), ti)
             if jump is not None and jump < len(prefix):
                 return jump
             pruned.update(closure((w,), gens, getitem))
         return None
+
+
+def _count_runs(keys, sizes, shift):
+    """The runs of equal counts of a split event, each (first index,
+    count << shift, last index, count + 1 << shift).  A sorted list of
+    count << shift | vertex has the event's counts exactly when, for every
+    run, the entry at its first index is at least count << shift and the
+    one at its last index is below count + 1 << shift: the entries between
+    lie in that range too."""
+    runs, i = [], 0
+    for count, size in zip(keys, sizes):
+        runs.append((i, count << shift, i + size - 1, count + 1 << shift))
+        i += size
+    return runs
 
 
 def _common_depth(prefix_a, prefix_b):

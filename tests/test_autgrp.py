@@ -184,6 +184,26 @@ def test_resource_cap():
         automorphism_group(construction_36(), node_cap=3)
 
 
+def test_node_cap_errors_match_the_full_refinement_oracle():
+    """At every cap below the node count, the search stops where the eager
+    oracle, which refines every child in full, stops, with the same
+    automorphisms in the same order; a replayed leaf counts as its node
+    before its automorphism is stored."""
+    for d in (construction_36(), projective_design(3), design_96("h2", 2)[1]):
+        nodes = _Search(d, 10**7).run().nodes
+        for cap in range(1, nodes + 1):
+            outcomes = []
+            for search in (_Search(d, cap), _EagerSearch(d, cap)):
+                try:
+                    search.run()
+                except ResourceCapExceeded as exc:
+                    outcomes.append((exc.nodes, exc.automorphisms))
+                else:
+                    outcomes.append((search.nodes, tuple(search.autos.values())))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] == min(cap + 1, nodes)
+
+
 def test_resource_cap_keeps_the_automorphisms_found():
     d = construction_36()
     found = tuple(_Search(d, 10**7).run().autos.values())
@@ -362,7 +382,11 @@ class _EagerSearch(_Search):
     certificate, leaves match by certificate equality, and a match whose
     map is not an automorphism raises.  Deciding matches by the
     automorphism test must not change the best leaf, the stored
-    automorphisms or the nodes explored."""
+    automorphisms or the nodes explored.  It declines the replay of the
+    first leaf's split events, so every child is refined in full."""
+
+    def _replay(self, cells):
+        return None
 
     def _leaf(self, cells, tokens, prefix):
         order = [cell[0] for cell in cells]
@@ -476,7 +500,8 @@ class _ReferenceSearch(_EagerSearch):
     automorphisms found, and `_refine` is told to run every cell) as the
     oracle: backjumping and
     pruning by `perm.closure` must not change the best leaf or the group
-    generated."""
+    generated.  Its `_recurse` refines every child in full, and it
+    declines the replay as `_EagerSearch` does."""
 
     def _handle_leaf(self, leaf):
         if self.first is None:
@@ -595,6 +620,107 @@ def _d96_labelings():
     """The four d96 designs at labelings 1 and 2."""
     return [_relabeled(design_96(group_id, block_id)[1], seed)
             for group_id in ("h1", "h2") for block_id in (1, 2) for seed in (1, 2)]
+
+
+def _regular_designs():
+    """200 random designs of ten 3-point blocks on 10 points, each point on
+    3 blocks.  Refinement splits little here, so a replay can follow all of
+    the first leaf's split events and still not match it."""
+    rng = random.Random(7)
+    designs = []
+    while len(designs) < 200:
+        points = [p for p in range(1, 11) for _ in range(3)]
+        rng.shuffle(points)
+        blocks = [tuple(sorted(points[i : i + 3])) for i in range(0, 30, 3)]
+        if all(len(set(blk)) == 3 for blk in blocks) and len(set(blocks)) == 10:
+            designs.append(Design(10, blocks))
+    return designs
+
+
+def _tally_replays(monkeypatch):
+    """Count the search's replays of the first leaf's split events by
+    outcome: "stopped" at a count that differs, "kept" as a match, and
+    "missed" when the completed replay does not match and full refinement
+    gives the same leaf; also record the maps that `is_automorphism`
+    tests, per search."""
+    tally = Counter()
+    maps = []
+    replay, handle = _Search._replay, _Search._handle_leaf
+
+    def replayed(self, cells):
+        order = replay(self, cells)
+        tally["stopped"] += order is None
+        return order
+
+    def handled(self, leaf, first_match=None):
+        if first_match is not None:
+            tally["kept" if first_match else "missed"] += 1
+        return handle(self, leaf, first_match)
+
+    def tested(d, perm):
+        maps[-1].append(perm.images)
+        return is_automorphism(d, perm)
+
+    monkeypatch.setattr(_Search, "_replay", replayed)
+    monkeypatch.setattr(_Search, "_handle_leaf", handled)
+    monkeypatch.setattr(autgrp, "is_automorphism", tested)
+    return tally, maps
+
+
+def test_replays_that_fall_back_match_the_eager_oracle(monkeypatch):
+    """On the d96 labelings most replays stop at a count that differs and
+    some are kept; on the regular designs some complete without a match,
+    and full refinement then gives the same leaf, which is not tested
+    again: every map is tested once per search."""
+    tally, maps = _tally_replays(monkeypatch)
+    for designs, outcomes in ((_d96_labelings(), ("kept", "stopped")),
+                              (_regular_designs(), ("kept", "stopped", "missed"))):
+        tally.clear()
+        for d in designs:
+            maps.append([])
+            _Search(d, 10**7).run()
+            assert len(set(maps[-1])) == len(maps[-1])
+            _assert_same_as_eager(d)
+        assert all(tally[outcome] > 0 for outcome in outcomes), tally
+
+
+def test_replayed_leaves_are_the_refined_leaves(monkeypatch):
+    """Each leaf kept from a replay is the leaf that the oracle refinement
+    gives the same child: same trace as the first leaf, same order.  On
+    d36 and pg 3 every leaf after the first is a replay, so only one
+    refinement per search ends in a leaf: a replay that never matched
+    would leave every output as it is and only slow the search."""
+    replay, handle, refine = _Search._replay, _Search._handle_leaf, _Search._refine
+    children, kept, full_leaves = [], [], []
+
+    def replayed(self, cells):
+        children.append(cells)
+        return replay(self, cells)
+
+    def handled(self, leaf, first_match=None):
+        if first_match:
+            cells, trace = _reference_refine(self, children[-1])
+            assert trace == self.first.tokens[-1]
+            assert leaf.order == [cell[0] for cell in cells]
+            kept.append(leaf)
+        return handle(self, leaf, first_match)
+
+    def refined(self, cells, splitters):
+        got = refine(self, cells, splitters)
+        full_leaves[-1] += len(got[0]) == self.v + self.b
+        return got
+
+    monkeypatch.setattr(_Search, "_replay", replayed)
+    monkeypatch.setattr(_Search, "_handle_leaf", handled)
+    monkeypatch.setattr(_Search, "_refine", refined)
+    designs = _oracle_designs()
+    for i, d in enumerate(designs):
+        full_leaves.append(0)
+        before = len(kept)
+        search = _Search(d, 10**7).run()
+        if i < 20:  # d36 and pg 3
+            assert full_leaves[-1] == 1 and len(kept) - before == len(search.autos) > 0
+    assert len(kept) > 250
 
 
 def test_proved_order_equals_constructor_order():
