@@ -24,8 +24,8 @@ from operator import lt
 from typing import Optional
 
 from .feasibility import CONDITIONS, FeasibleTuple, condition_failures
-from .perm import (BlockSystem, PermGroup, Permutation, _mask_images, _read_counted_lines,
-                   orbits_on)
+from .perm import (BlockSystem, PermGroup, Permutation, _bit_table, _mask_images,
+                   _read_counted_lines, orbits_on)
 
 
 class DesignError(ValueError):
@@ -265,7 +265,7 @@ def flags(d: Design):
 
 def is_automorphism(d: Design, p: Permutation) -> bool:
     """Whether p has degree v and carries every block onto a block."""
-    return _mask_images(p, d.v, d.blocks, d.block_index) is not None
+    return p.degree == d.v and _mask_images(_bit_table(p), d.blocks, d.block_index) is not None
 
 
 def flag_orbit_count(g: PermGroup, d: Design) -> int:
@@ -282,7 +282,7 @@ def flag_orbit_count(g: PermGroup, d: Design) -> int:
         if gen.degree != d.v:
             raise GeneratorNotAutomorphism(
                 "generator %r has degree %d, not v = %d" % (gen, gen.degree, d.v))
-        blocks = _mask_images(gen, d.v, d.blocks, d.block_index)
+        blocks = _mask_images(_bit_table(gen), d.blocks, d.block_index)
         if blocks is None:
             raise GeneratorNotAutomorphism(
                 "generator %r does not preserve the block set" % (gen,))

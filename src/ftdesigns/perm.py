@@ -21,7 +21,13 @@ No setwise stabilizer is built: by orbit-stabilizer its order is
 
 Block systems come from one union-find, ``_min_partition``, run on the
 action on the parts of each invariant partition that ``block_systems``
-pops; systems are keyed by their block through 1.
+pops; systems are keyed by the point mask of their block through 1.  A
+block holding the part B through 1 is a union of parts, so the join of B
+with a part P is the smallest block holding B and any one point beta of
+P, and it contains the minimal block Min(1, beta).  The first pop, on the
+discrete partition, finds every Min(1, beta); later pops join B with one
+part per class of parts linked by a shared minimal block, and skip a
+class with a point whose minimal block is the whole set.
 
 Orbits of points, point sets, bitmasks, flags and search vertices, and
 the elements of a small group, come from one routine, ``closure`` (Holt,
@@ -30,8 +36,9 @@ built on it, with no exception: ``orbit_of_set`` is the closure of one
 point set.  Only ``_place_gen`` grows the basic orbits of the stabilizer
 chain.
 
-One image test on point masks, ``_mask_images``, answers every
-automorphism and invariance test; one reader, ``_read_counted_lines``,
+One image test on point masks, ``_mask_images`` on a permutation's
+``_bit_table``, answers every automorphism and invariance test and gives
+``block_systems`` its action on the parts; one reader, ``_read_counted_lines``,
 reads the header and body lines of group and design files.
 """
 
@@ -234,8 +241,15 @@ class BlockSystem:
 
     def is_invariant_under(self, perms):
         """Whether each of perms has this degree and maps parts onto parts."""
+        perms = tuple(perms)
+        return (all(g.degree == self.degree for g in perms)
+                and self._maps_parts_onto_parts([_bit_table(g) for g in perms]))
+
+    def _maps_parts_onto_parts(self, bit_tables):
+        """Whether each permutation, given by its ``_bit_table``, maps parts
+        onto parts."""
         index = {sum(1 << (p - 1) for p in part): i for i, part in enumerate(self.parts)}
-        return all(_mask_images(g, self.degree, self.parts, index) is not None for g in perms)
+        return all(_mask_images(bits, self.parts, index) is not None for bits in bit_tables)
 
     def __repr__(self):
         return "BlockSystem(c=%d, d=%d)" % (self.part_size, self.num_parts)
@@ -493,33 +507,56 @@ class PermGroup:
 
         Every block through point 1 is a join of the minimal blocks
         Min(1, beta) (Atkinson, *An algorithm for finding the blocks of a
-        permutation group*, Math. Comp. 29, 1975).  The smallest block
-        holding a block B and a point beta is a union of parts of B's
-        system, so it depends only on beta's part: a worklist from the
-        discrete partition joins the part through 1 with every other part
-        by one seeded ``_min_partition`` on the action on the parts (the
-        part of a part's first point's image, as the partition is
-        invariant).  A system is the orbit of its block through 1, so it
-        is keyed by that block and lifted whole only when new."""
+        permutation group*, Math. Comp. 29, 1975; Holt, Eick & O'Brien
+        2005, 4.3).  A worklist pops invariant partitions, from the
+        discrete one, and joins the part B through 1 with other parts by
+        one seeded ``_min_partition`` on the action on the parts, which
+        ``_mask_images`` gives and so checks that the partition is
+        invariant.
+        A block that contains B is a union of parts, so the join of B with
+        a part P is the smallest block holding B and any one point beta of
+        P, and it contains Min(1, beta).  Hence parts linked by a shared
+        minimal block have one join, and a part holding a point whose
+        minimal block is the whole set joins to the whole set.  The
+        discrete partition's n - 1 joins are the minimal blocks; every
+        later pop joins B with the first part of each linked class of
+        parts (``_join_representatives``) and skips the rest.  A system is
+        the orbit of its block through 1, so it is keyed by that block's
+        point mask and lifted to sorted parts only when new."""
         if not self.is_transitive():
             raise GroupError("block systems require a transitive group")
         n = self.degree
-        gen_tables = [(0,) + g.images for g in self.generators]
+        bit_tables = [_bit_table(g) for g in self.generators]
         where = [0] * (n + 1)  # point -> index of its part in the popped partition
-        found = {}  # block through 1 -> parts of its system
+        found = {}  # point mask of the block through 1 -> parts of its system
+        minimal = {}  # point mask of a minimal block Min(1, beta) -> the points beta
+        linked = []  # point lists whose parts share one join, filled by the first pop
         worklist = [tuple((p,) for p in range(1, n + 1))]
         while worklist:
             parts = worklist.pop()  # parts are sorted, so parts[0] holds 1
+            if len({len(part) for part in parts}) != 1:
+                raise AssertionError("congruence of a transitive group has unequal parts")
+            masks = []
             for i, part in enumerate(parts):
+                mask = 0
                 for p in part:
                     where[p] = i
-            tables = [[where[g[part[0]]] for part in parts] for g in gen_tables]
-            for j in range(1, len(parts)):
+                    mask |= 1 << (p - 1)
+                masks.append(mask)
+            # each generator's action on the parts, by the image masks of the parts
+            index = dict(zip(masks, range(len(parts))))
+            tables = [_mask_images(bits, parts, index) for bits in bit_tables]
+            if None in tables:
+                raise AssertionError("block system is not invariant: %r" % (parts,))
+            discrete = len(parts) == n  # the first pop, which finds the minimal blocks
+            for j in range(1, n) if discrete else _join_representatives(len(parts), where, linked):
                 classes = _min_partition(len(parts), tables, (0, j))
-                if len(classes) == 1:
-                    continue
-                block = tuple(sorted([p for i in classes[0] for p in parts[i]]))
-                if block in found:
+                block = 0
+                for i in classes[0]:
+                    block |= masks[i]
+                if discrete:
+                    minimal.setdefault(block, []).append(j + 1)
+                if len(classes) == 1 or block in found:
                     continue
                 if len(found) == MAX_BLOCK_SYSTEMS:
                     raise BlockSystemCapExceeded(
@@ -528,13 +565,12 @@ class PermGroup:
                 found[block] = joined = tuple(sorted(
                     tuple(sorted([p for i in cls for p in parts[i]])) for cls in classes))
                 worklist.append(joined)
-        systems = []
-        for parts in found.values():
-            if len({len(part) for part in parts}) != 1:
-                raise AssertionError("congruence of a transitive group has unequal parts")
-            systems.append(BlockSystem(n, parts))
-            if not systems[-1].is_invariant_under(self.generators):
-                raise AssertionError("block system is not invariant: %r" % (parts,))
+            if discrete:
+                # a point whose minimal block is the whole set goes with 1
+                whole = minimal.pop((1 << n) - 1, [])
+                linked = [points for points in minimal.values() if len(points) > 1]
+                linked.append([1] + whole)
+        systems = [BlockSystem(n, parts) for parts in found.values()]
         systems.sort(key=lambda s: (s.part_size, s.parts))
         return systems
 
@@ -546,19 +582,43 @@ class PermGroup:
         )
 
 
-def _mask_images(p, degree, sets, index):
+def _bit_table(p):
+    """The point masks of p's images: bit p(x) - 1 at index x, 0 at index 0."""
+    return [0] + [1 << (y - 1) for y in p.images]
+
+
+def _mask_images(bits, sets, index):
     """The value in ``index`` of the point mask (bit x - 1 for point x) of
-    each set's image under p, in order; None if p's degree is not
-    ``degree`` or an image mask is not in ``index``."""
-    if p.degree != degree:
-        return None
-    bits = [0] + [1 << (y - 1) for y in p.images]
-    images = []
+    each set's image under the permutation whose ``_bit_table`` is bits,
+    in order; None if an image mask is not in ``index``."""
+    get, images = bits.__getitem__, []
     for s in sets:
-        images.append(index.get(sum(map(bits.__getitem__, s))))
-        if images[-1] is None:
+        image = index.get(sum(map(get, s)))
+        if image is None:
             return None
+        images.append(image)
     return images
+
+
+def _join_representatives(num_parts, where, linked):
+    """The indices of the parts, past part 0 (through point 1), that
+    ``block_systems`` joins with part 0: the first part of each class of
+    parts that the point tuples of ``linked`` link (``where`` maps each
+    point to its part), but for part 0's class."""
+    link = list(range(num_parts))  # union-find on the parts, each class rooted at its first
+    for points in linked:
+        a = where[points[0]]
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        for p in points[1:]:
+            b = where[p]
+            while link[b] != b:
+                link[b] = b = link[link[b]]
+            if a < b:
+                link[b] = a
+            elif b < a:
+                link[a] = a = b
+    return [i for i in range(1, num_parts) if link[i] == i]
 
 
 def _min_partition(degree, tables, seed):

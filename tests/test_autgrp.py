@@ -31,7 +31,7 @@ from ftdesigns.construct import (
     design_96,
 )
 from ftdesigns.design import Design, format_design_text, is_automorphism
-from ftdesigns.perm import BlockSystem, PermGroup, Permutation, orbits_on
+from ftdesigns.perm import BlockSystem, PermGroup, Permutation, format_group_text, orbits_on
 
 from test_design import reference_block_images
 
@@ -1047,19 +1047,30 @@ print(raises(autgrp.are_isomorphic, d, swapped),
 
 
 def test_cli_output_does_not_depend_on_hash_seed(tmp_path):
-    """`aut` on a relabeled d36 file and `census36` print the same JSON
-    (minus elapsed_s) under two hash seeds."""
+    """`aut` on a relabeled d36 file, `census36` and `verify` on a relabeled
+    d96 h1/1 with H1 conjugated to match (not flag-transitive, so exit 1,
+    with all 111 block systems listed) print the same JSON (minus
+    elapsed_s) under two hash seeds."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftdesigns.__file__)))
     path = tmp_path / "d36.dsg"
     path.write_text(format_design_text(_relabeled(construction_36(), 3)))
-    for argv in (["aut", str(path)], ["census36"]):
+    h1, d96 = design_96("h1", 1)
+    relabel = Permutation(random.Random(5).sample(range(1, 97), 96))
+    d96_path, h1_path = tmp_path / "d96.dsg", tmp_path / "h1.grp"
+    d96_path.write_text(format_design_text(d96.relabel(relabel)))
+    h1_path.write_text(format_group_text(PermGroup(
+        [relabel.inverse() * g * relabel for g in h1.generators])))
+    for argv, code in ((["aut", str(path)], 0), (["census36"], 0),
+                       (["verify", str(d96_path), str(h1_path)], 1)):
         payloads = []
         for seed in ("0", "4242"):
             env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
             proc = subprocess.run([sys.executable, "-m", "ftdesigns", "--format", "json"] + argv,
                                   env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
+            assert proc.returncode == code, proc.stderr
             payload = json.loads(proc.stdout)
             del payload["elapsed_s"]
             payloads.append(payload)
         assert payloads[0] == payloads[1]
+    observed = {f["check"]: f["observed"] for f in payloads[0]["findings"]}
+    assert observed["generators-are-automorphisms"] == [] and observed["block-systems"] == 111

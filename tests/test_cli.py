@@ -700,13 +700,16 @@ def test_cached_parser_keeps_no_state(tmp_path):
 # `aut` cases, when the search began to backjump (436 -> 39 nodes).  The
 # text and CSV `census36` cases were captured from the census that closed
 # every qualifying subset under the group, before it took its orbits from
-# the (rows, columns) pair orbits and their stabilizers.
+# the (rows, columns) pair orbits and their stabilizers.  The `verify-d96-h1-group`
+# cases, which list H1's 111 block systems, were captured before
+# `block_systems` joined one part per class of parts sharing a minimal block.
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
 
 
 def _golden_cases(tmp_path):
     """(name, argv) of every pinned CLI case; input files go to tmp_path."""
     pg3 = projective_design(3)
+    h1, h1_design = design_96("h1", 1)
     files = {
         "d36.dsg": format_design_text(construction_36()),
         "d36.grp": format_group_text(twisted_diagonal_group()),
@@ -716,6 +719,8 @@ def _golden_cases(tmp_path):
         "nondesign.dsg": "v 4\n1 2 3\n1 2 4\n",
         "pg3-relabeled.dsg": format_design_text(pg3.relabel(
             Permutation(random.Random(1).sample(range(1, 16), 15)))),
+        "d96-h1-1.dsg": format_design_text(h1_design),
+        "h1.grp": format_group_text(h1),
     }
     path = {}
     for name, text in files.items():
@@ -731,6 +736,7 @@ def _golden_cases(tmp_path):
         "verify-d36": ["verify", path["d36.dsg"]],
         "verify-d36-bad-group": ["verify", path["d36.dsg"], path["bad.grp"]],
         "verify-nondesign": ["verify", path["nondesign.dsg"]],
+        "verify-d96-h1-group": ["verify", path["d96-h1-1.dsg"], path["h1.grp"]],
         "aut": ["aut", path["pg3-relabeled.dsg"]],
     }
     cases = [("%s-%s" % (name, fmt), ["--format", fmt] + argv)

@@ -687,6 +687,12 @@ def _divisor_count(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
+def _wreath_products():
+    s2, s3 = _dihedral(2), _dihedral(3)
+    return [_wreath(s2, s3), _wreath(_cyclic(3), _cyclic(2)), _wreath(_cyclic(2), _cyclic(4)),
+            _wreath(s3, s3), _wreath(_cyclic(4), s3), _wreath(s2, _wreath(s2, s2))]
+
+
 def test_block_systems_match_pairwise_join_reference():
     from ftdesigns.construct import coset_model_group
 
@@ -696,15 +702,56 @@ def test_block_systems_match_pairwise_join_reference():
         assert [s.parts for s in systems] == _reference_block_systems(_cyclic(n)), n
     c3xc3 = PermGroup([parse_cycles("(1,2,3)(4,5,6)(7,8,9)", 9),
                        parse_cycles("(1,4,7)(2,5,8)(3,6,9)", 9)])
-    s2, s3 = _dihedral(2), _dihedral(3)
-    groups = [_dihedral(n) for n in range(3, 21)] + [
-        c3xc3,
-        _wreath(s2, s3), _wreath(_cyclic(3), _cyclic(2)), _wreath(_cyclic(2), _cyclic(4)),
-        _wreath(s3, s3), _wreath(_cyclic(4), _dihedral(3)), _wreath(s2, _wreath(s2, s2)),
+    groups = [_dihedral(n) for n in range(3, 21)] + [c3xc3] + _wreath_products() + [
         _shipped("d36")[0], _shipped("pg3")[0], coset_model_group(), _z2(4),
     ]
     for g in groups:
         assert [s.parts for s in g.block_systems()] == _reference_block_systems(g), g
+
+
+def audited_skips(group):
+    """Run `block_systems` and check that every part of a popped partition
+    that it does not join with the part through 1 has, joined, the join of
+    a part joined before it in the same pop, or the whole set; returns the
+    systems and the number of skipped parts.  A pop is the calls on one
+    list of part tables."""
+    min_partition = perm._min_partition
+    calls = []
+    perm._min_partition = lambda *args: calls.append(args) or min_partition(*args)
+    try:
+        systems = group.block_systems()
+    finally:
+        perm._min_partition = min_partition
+    pops = {}  # calls keeps each table list alive, so their ids stay distinct
+    for degree, tables, seed in calls:
+        assert seed[0] == 0 and len(seed) == 2, seed
+        pops.setdefault(id(tables), (degree, tables, {}))[2][seed[1]] = None
+    skips = 0
+    for degree, tables, joined in pops.values():
+        joins = [(j, min_partition(degree, tables, (0, j))) for j in joined]
+        for j in range(1, degree):
+            if j not in joined:
+                classes = min_partition(degree, tables, (0, j))
+                assert len(classes) == 1 or any(
+                    i < j and classes == earlier for i, earlier in joins), (group, degree, j)
+                skips += 1
+    return systems, skips
+
+
+def test_block_systems_skip_only_joins_the_minimal_blocks_decide():
+    """The skips of `block_systems` pass `audited_skips`.  A wrong skip
+    would leave the output as it is whenever the worklist reaches the lost
+    system by another path, so the skips are audited one by one."""
+    from ftdesigns.construct import coset_model_group
+
+    groups = {"h1": _shipped("h1")[0], "h2": _shipped("h2")[0], "d36": _shipped("d36")[0],
+              "pg3": _shipped("pg3")[0], "coset-model": coset_model_group()}
+    groups.update(("C%d" % n, _cyclic(n)) for n in range(2, 31))
+    groups.update(("D%d" % n, _dihedral(n)) for n in range(3, 21))
+    groups.update(("wreath %d" % i, g) for i, g in enumerate(_wreath_products()))
+    skips = {name: audited_skips(group)[1] for name, group in groups.items()}
+    assert skips["h1"] == 1521 - 743 and skips["h2"] == 4704 - 1887
+    assert sum(skips.values()) > skips["h1"] + skips["h2"]
 
 
 @functools.cache
@@ -755,19 +802,26 @@ def test_min_partition_matches_reference():
 
 
 def test_block_systems_call_count(monkeypatch):
-    """The worklist joins each found part through 1 with every other part:
-    (n - 1) calls from the discrete partition, then num_parts - 1 for each
-    system found."""
+    """The worklist joins the part through 1 with each other part of the
+    discrete partition, n - 1 calls that give the minimal blocks
+    Min(1, beta); then, in each system found, with one part per class of
+    parts linked by a shared minimal block, and with none of a class that
+    holds a point whose minimal block is the whole set.  Joining with
+    every other part took n - 1 + sum(num_parts - 1) calls: 1,521 for H1
+    and 4,704 for H2."""
     from ftdesigns import construct
 
     min_partition = perm._min_partition
-    for name, want in (("h1", 1521), ("h2", 4704)):
+    for name, want in (("h1", 743), ("h2", 1887)):
         group = construct.block_regular_group_96(name)
+        n = group.degree
         calls = []
         monkeypatch.setattr(perm, "_min_partition",
                             lambda *args: calls.append(args) or min_partition(*args))
         systems = group.block_systems()
-        assert len(calls) == want == group.degree - 1 + sum(s.num_parts - 1 for s in systems)
+        assert len(calls) == want < n - 1 + sum(s.num_parts - 1 for s in systems)
+        assert [args[0] for args in calls[:n - 1]] == [n] * (n - 1)
+        assert all(args[0] < n for args in calls[n - 1:])
 
 
 def _subspace_count(n):

@@ -3,7 +3,10 @@ orders, membership of generator words and of arbitrary permutations, and
 one more generator growing the group exactly for non-members, all against
 sympy, for chains built by the constructor and by `of_order` from sympy's
 order; and the completeness of the stabilizer chain for every prefix of
-the generators.  Also: a failing property test fails the run as a test."""
+the generators.  Block systems of relabeled imprimitive wreath products,
+and of the transitive groups that random elements of them generate,
+against the pairwise join closure.  Also: a failing property test fails
+the run as a test."""
 
 import subprocess
 import sys
@@ -14,10 +17,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from ftdesigns.perm import PermGroup, Permutation  # noqa: E402
-from test_perm import assert_chain_complete  # noqa: E402
+from ftdesigns.perm import PermGroup, Permutation, closure  # noqa: E402
+from test_perm import (_cyclic, _dihedral, _reference_block_systems, _wreath,  # noqa: E402
+                       assert_chain_complete, audited_skips)
 
 # Under 1 s for the module on a 2-core host; the slowest example, S_10
 # built by both libraries, takes a few milliseconds.  Derandomized and
@@ -108,6 +112,38 @@ def test_chain_built_to_a_known_order_matches_sympy(group, data):
     for _ in range(3):
         p = Permutation(data.draw(st.permutations(range(1, n + 1))))
         assert g.contains(p) == reference.contains(_sympy_perm(p))
+
+
+# imprimitive wreath products base wr top of degree 4 to 16
+WREATH_PRODUCTS = [_wreath(base, top) for base, top in (
+    (_cyclic(2), _cyclic(2)), (_dihedral(3), _cyclic(2)), (_cyclic(3), _dihedral(3)),
+    (_cyclic(2), _cyclic(8)), (_cyclic(4), _cyclic(4)), (_cyclic(3), _cyclic(4)),
+    (_cyclic(2), _dihedral(4)), (_cyclic(2), _wreath(_cyclic(2), _cyclic(2))))]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(WREATH_PRODUCTS), st.data())
+def test_block_systems_of_relabeled_wreath_products_match_the_join_closure(group, data):
+    """A wreath product relabeled by a random permutation, and the group
+    that random elements of the relabeled product generate, have the block
+    systems of the pairwise join closure, and every join they skip passes
+    `audited_skips`.  Elements are drawn until they generate a transitive
+    group, at most six."""
+    n = group.degree
+    relabel = Permutation(data.draw(st.permutations(range(1, n + 1))))
+    conjugate = PermGroup([relabel.inverse() * g * relabel for g in group.generators])
+    assert conjugate.order() == group.order()
+    systems, _ = audited_skips(conjugate)
+    assert [s.parts for s in systems] == _reference_block_systems(conjugate)
+    gens = conjugate.generators
+    word = st.lists(st.integers(0, len(gens) - 1), min_size=3, max_size=12)
+    elements = []
+    while len(elements) < 6 and len(closure([1], elements)) < n:
+        elements.append(_product(gens, data.draw(word)))
+    sub = PermGroup(elements)
+    assume(sub.is_transitive())
+    systems, _ = audited_skips(sub)
+    assert [s.parts for s in systems] == _reference_block_systems(sub)
 
 
 FAILING_PROPERTY = """
